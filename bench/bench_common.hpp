@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "experiment/tables.hpp"
@@ -123,6 +125,69 @@ inline std::size_t procStatusBytes(const char* key) {
 inline std::size_t peakRssBytes() { return procStatusBytes("VmHWM"); }
 /// Current resident set size (VmRSS).
 inline std::size_t currentRssBytes() { return procStatusBytes("VmRSS"); }
+
+/// First line of `cmd`'s standard output (empty if it fails or prints
+/// nothing), with the trailing newline removed.
+inline std::string firstLineOf(const char* cmd) {
+  std::FILE* p = popen(cmd, "r");
+  if (p == nullptr) return "";
+  char line[256] = {};
+  const bool got = std::fgets(line, sizeof line, p) != nullptr;
+  pclose(p);
+  if (!got) return "";
+  std::string s{line};
+  while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
+  return s;
+}
+
+/// Writes the host and build identity as JSON members (each line
+/// `  "key": value,`) so numbers from different machines are never
+/// compared silently. `git_sha` is read at run time from the checkout the
+/// bench runs in; "-dirty" marks uncommitted changes to tracked files.
+inline void writeHostStamp(std::FILE* out) {
+  std::string cpu;
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      const char* colon = std::strchr(line, ':');
+      if (colon == nullptr) break;
+      for (const char* c = colon + 1; *c != '\0' && *c != '\n'; ++c) {
+        if (*c == '"' || *c == '\\') continue;  // keep the JSON string valid
+        if (cpu.empty() && *c == ' ') continue;
+        cpu.push_back(*c);
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "g++ " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+#ifdef GLR_BUILD_TYPE
+  const char* buildType = GLR_BUILD_TYPE;
+#else
+  const char* buildType = "unknown";
+#endif
+  std::string sha = firstLineOf("git rev-parse HEAD 2>/dev/null");
+  if (sha.empty()) {
+    sha = "unknown";
+  } else if (!firstLineOf("git status --porcelain --untracked-files=no "
+                          "2>/dev/null")
+                  .empty()) {
+    sha += "-dirty";
+  }
+  std::fprintf(out, "  \"cpu_model\": \"%s\",\n", cpu.c_str());
+  std::fprintf(out, "  \"online_cores\": %ld,\n",
+               sysconf(_SC_NPROCESSORS_ONLN));
+  std::fprintf(out, "  \"compiler\": \"%s\",\n", compiler);
+  std::fprintf(out, "  \"build_type\": \"%s\",\n", buildType);
+  std::fprintf(out, "  \"git_sha\": \"%s\",\n", sha.c_str());
+}
 
 /// Node-count override shared by the benches: GLR_BENCH_NODES in the
 /// environment, typically mirrored by a --nodes flag. Returns `fallback`

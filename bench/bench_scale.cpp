@@ -1,7 +1,7 @@
 /// \file bench_scale.cpp
-/// City-scale population sweep: how far the per-node-count scaling path
-/// (tiled receiver index + calendar event queue + population pre-sizing)
-/// carries the simulator on one machine.
+/// City-scale population sweep: how far the default simulator path (4-ary
+/// heap kernel, spatial receiver index, population pre-sizing, table
+/// eviction) carries the simulator on one machine.
 ///
 /// Cells run at *constant density* (the area grows with the population, so
 /// every node sees the paper's local picture) with a fixed small traffic
@@ -10,12 +10,7 @@
 /// kIdleBytesPerNodeCeiling). Per cell the JSON records events/sec and resident
 /// bytes/node ((process peak RSS during the cell - RSS at cell start) /
 /// nodes; cells run in ascending size so each cell owns the peak it sets).
-///
-/// Before the sweep, an A/B matrix at the smallest size asserts that every
-/// {heap4, calendar} x {snapshot, tiled} combination produces bit-identical
-/// ScenarioResults — the scaling path is an optimisation, not a model
-/// change — so the large cells can run calendar+tiled with their numbers
-/// meaning the same thing the golden path's would.
+/// The JSON also names the host and build the numbers were measured on.
 ///
 /// Usage: bench_scale [--quick] [--nodes N] [--out FILE.json]
 ///   --quick   CI mode: 1k + 10k cells only, short horizons, and a hard
@@ -38,7 +33,7 @@
 
 // Sanitizer shadow memory multiplies RSS by an arbitrary factor, so the
 // idle-memory ceiling is only meaningful in plain builds; sanitized CI legs
-// still get the A/B bit-identical gate and the completion check.
+// still get the completion check.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define GLR_BENCH_SANITIZED 1
 #elif defined(__has_feature)
@@ -56,13 +51,10 @@ using glr::bench::benchNodes;
 using glr::bench::currentRssBytes;
 using glr::bench::peakRssBytes;
 using glr::bench::scalePopulation;
-using glr::experiment::bitIdenticalIgnoringWall;
-using glr::experiment::KernelQueue;
 using glr::experiment::Protocol;
 using glr::experiment::runScenario;
 using glr::experiment::ScenarioConfig;
 using glr::experiment::ScenarioResult;
-using glr::experiment::SpatialIndexMode;
 
 /// Idle-node resident ceiling the scale path commits to (bytes/node),
 /// asserted on every >=10k cell. The roadmap's aspirational figure is 1 KB;
@@ -74,9 +66,9 @@ using glr::experiment::SpatialIndexMode;
 /// at 10k nodes: ~5.4 KB/node after 10 sim-s, saturating near ~6.2 KB at
 /// 30 sim-s as the eviction horizons fill — so the committed, regression-
 /// guarded budget is 7 KB. What the ceiling really polices is boundedness:
-/// before the eviction + calendar-calibration fixes in this change the same
-/// cell measured 8.6 KB/node after 10 sim-s and grew without bound
-/// (~350 B/node per sim-second); now growth stops at the eviction horizon.
+/// without table eviction the same cell measured 8.6 KB/node after 10 sim-s
+/// and grew without bound (~350 B/node per sim-second); with it, growth
+/// stops at the eviction horizon.
 /// Closing the gap to 1 KB needs SoA-pooled agents/MACs (roadmap item).
 constexpr double kIdleBytesPerNodeCeiling = 7168.0;
 
@@ -92,13 +84,10 @@ ScenarioConfig baseConfig(int nodes, double simTime, int messages) {
   cfg.trafficNodes = std::min(nodes, 45);
   cfg.simTime = simTime;
   cfg.numMessages = messages;
-  cfg.kernelQueue = KernelQueue::kCalendar;
-  cfg.spatialIndex = SpatialIndexMode::kTiled;
   // Steady-state table bounds: without eviction every node accumulates a
   // record for everything it has ever heard (~300 B/node per sim-second at
   // city densities), which would swamp the idle-node budget on any long
-  // horizon. Applied identically across the A/B matrix, so the
-  // bit-identical gate still covers the queue/index combinations.
+  // horizon.
   cfg.neighborEvictAfterFactor = 2.0;
   cfg.locationEvictAfter = 15.0;
   return cfg;
@@ -139,34 +128,6 @@ Cell runCell(int nodes, double simTime, int messages, bool smoke) {
   return c;
 }
 
-/// Runs the {queue} x {index} matrix at one size and asserts every combo
-/// reproduces the golden-path (heap4 + snapshot) result bit for bit.
-bool abMatrixIdentical(int nodes, double simTime, int messages) {
-  ScenarioConfig cfg = baseConfig(nodes, simTime, messages);
-  cfg.kernelQueue = KernelQueue::kHeap4;
-  cfg.spatialIndex = SpatialIndexMode::kSnapshot;
-  const ScenarioResult golden = runScenario(cfg);
-  bool ok = true;
-  for (const KernelQueue q : {KernelQueue::kHeap4, KernelQueue::kCalendar}) {
-    for (const SpatialIndexMode s :
-         {SpatialIndexMode::kSnapshot, SpatialIndexMode::kTiled}) {
-      if (q == KernelQueue::kHeap4 && s == SpatialIndexMode::kSnapshot) {
-        continue;
-      }
-      cfg.kernelQueue = q;
-      cfg.spatialIndex = s;
-      const ScenarioResult r = runScenario(cfg);
-      const bool same = bitIdenticalIgnoringWall(golden, r);
-      std::printf("A/B %dn %s+%s: %s\n", nodes,
-                  q == KernelQueue::kCalendar ? "calendar" : "heap4",
-                  s == SpatialIndexMode::kTiled ? "tiled" : "snapshot",
-                  same ? "bit-identical" : "DIVERGED");
-      ok = ok && same;
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -187,16 +148,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("scale bench (%s mode): calendar queue + tiled index\n",
-              quick ? "quick" : "full");
-
-  // The A/B gate first: if any combination diverges, the sweep numbers
-  // would not be comparable to the golden path and the bench must fail.
-  const bool abOk = abMatrixIdentical(1000, quick ? 20.0 : 60.0, 40);
-  if (!abOk) {
-    std::fprintf(stderr, "bench_scale: A/B matrix diverged — aborting\n");
-    return 1;
-  }
+  std::printf("scale bench (%s mode)\n", quick ? "quick" : "full");
 
   // Ascending cell sizes so each cell's RSS high-water delta is its own.
   std::vector<Cell> cells;
@@ -243,9 +195,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"scale\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
-  std::fprintf(out,
-               "  \"path\": \"calendar queue + tiled receiver index\",\n");
-  std::fprintf(out, "  \"ab_matrix_bit_identical\": true,\n");
+  glr::bench::writeHostStamp(out);
   std::fprintf(out, "  \"idle_bytes_per_node_ceiling\": %.0f,\n",
                kIdleBytesPerNodeCeiling);
   std::fprintf(out, "  \"cells\": [\n");

@@ -3,7 +3,8 @@
 /// Frozen copy of the pre-slab event kernel (shared_ptr cancellation flags,
 /// std::function callbacks, priority_queue of full Event structs). Kept
 /// header-only under bench/ so `bench_sim_kernel` can measure the old and new
-/// kernels side by side in one binary; nothing in src/ may include this.
+/// kernels side by side in one binary, and so tests/test_sim.cpp can use it
+/// as the event-ordering oracle; nothing in src/ may include this.
 
 #include <cstdint>
 #include <functional>

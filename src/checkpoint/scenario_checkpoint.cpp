@@ -154,8 +154,6 @@ std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   e.f64(cfg.glrRecoveryCooldown);
   e.f64(cfg.glrSuspicionTtl);
   e.f64(cfg.messageTtl);
-  e.i32(static_cast<std::int32_t>(cfg.kernelQueue));
-  e.i32(static_cast<std::int32_t>(cfg.spatialIndex));
   e.f64(cfg.neighborEvictAfterFactor);
   e.f64(cfg.locationEvictAfter);
   e.f64(cfg.checkpointEvery);

@@ -219,9 +219,6 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
 
   sim::Rng master{cfg.seed};
   sim::Simulator simulator;
-  if (cfg.kernelQueue == KernelQueue::kCalendar) {
-    simulator.setQueueMode(sim::Simulator::QueueMode::kCalendar);
-  }
   // Pre-size the event slab/queue from the population: the pending-event
   // peak is a few events per node (hello + check + MAC timers) with a
   // measured ~1.5k floor at paper scale, so 4096 covers small runs and the
@@ -248,10 +245,7 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   world.reserveNodes(static_cast<std::size_t>(cfg.numNodes));
   // Receiver lookups go through the spatial grid; candidate sets are padded
   // by worst-case drift so results match the unindexed channel.
-  world.enableSpatialIndex(cfg.speedMax, 0.5,
-                           cfg.spatialIndex == SpatialIndexMode::kTiled
-                               ? mac::Channel::IndexMode::kTiled
-                               : mac::Channel::IndexMode::kSnapshot);
+  world.enableSpatialIndex(cfg.speedMax, 0.5);
   dtn::MetricsCollector metrics;
 
   // Flight recorder: constructed (and installed on the World) before the

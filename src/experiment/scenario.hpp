@@ -70,20 +70,6 @@ struct FaultSpec {
   net::FaultProcess::Params params;
 };
 
-/// Which structure orders the kernel's pending-event set. Both modes fire
-/// the identical event sequence (same (time, seq) tie-break — pinned by the
-/// KernelRegression golden under each); the calendar queue keeps per-event
-/// cost flat for the million-deep queues of city-scale populations.
-enum class KernelQueue { kHeap4, kCalendar };
-
-/// Which receiver index backs the channel. kSnapshot refreshes every node
-/// each rebuild interval (the pinned-golden default); kTiled refreshes only
-/// tiles on an activity-paced janitor cycle and pads scan windows by each
-/// node's individual staleness, making the per-query cost O(active region)
-/// instead of O(N). Both produce bit-identical results for mobility models
-/// whose position is a pure function of time (all built-in models).
-enum class SpatialIndexMode { kSnapshot, kTiled };
-
 struct ScenarioConfig {
   Protocol protocol = Protocol::kGlr;
 
@@ -157,8 +143,6 @@ struct ScenarioConfig {
 
   // Scaling-path knobs (city-scale worlds). Defaults keep every pinned
   // golden bit-identical; bench_scale and the scale tests flip them.
-  KernelQueue kernelQueue = KernelQueue::kHeap4;
-  SpatialIndexMode spatialIndex = SpatialIndexMode::kSnapshot;
   /// Steady-state table eviction for long/large runs (0 = keep forever,
   /// the historical default): neighbor records stale beyond
   /// `neighborEvictAfterFactor * hello expiry` are erased, and GLR location

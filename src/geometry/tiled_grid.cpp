@@ -40,7 +40,6 @@ TiledSpatialGrid::TiledSpatialGrid(Point2 lo, Point2 hi, double tileSize,
   next_.assign(capacity, -1);
   prev_.assign(capacity, -1);
   pos_.assign(capacity, Point2{0.0, 0.0});
-  sampleAt_.assign(capacity, 0.0);
 }
 
 int TiledSpatialGrid::clampTileX(double x) const {
@@ -65,7 +64,7 @@ void TiledSpatialGrid::unlink(int i) {
   if (nxt >= 0) prev_[static_cast<std::size_t>(nxt)] = prv;
 }
 
-void TiledSpatialGrid::update(int i, Point2 p, double t) {
+void TiledSpatialGrid::update(int i, Point2 p, double /*t*/) {
   const auto u = static_cast<std::size_t>(i);
   if (u >= cellOf_.size()) {
     throw std::out_of_range{"TiledSpatialGrid::update: id beyond capacity"};
@@ -74,15 +73,10 @@ void TiledSpatialGrid::update(int i, Point2 p, double t) {
     throw std::invalid_argument{"TiledSpatialGrid::update: non-finite point"};
   }
   pos_[u] = p;
-  sampleAt_[u] = t;
   const int tile = tileOfPoint(p);
   const int cur = cellOf_[u];
   if (cur == tile) return;
-  if (cur >= 0) {
-    unlink(i);
-  } else {
-    ++live_;
-  }
+  if (cur >= 0) unlink(i);
   // Link at the head of the new tile's list.
   const auto tu = static_cast<std::size_t>(tile);
   next_[u] = head_[tu];
@@ -92,29 +86,26 @@ void TiledSpatialGrid::update(int i, Point2 p, double t) {
   cellOf_[u] = tile;
 }
 
-void TiledSpatialGrid::remove(int i) {
-  const auto u = static_cast<std::size_t>(i);
-  if (u >= cellOf_.size() || cellOf_[u] < 0) return;
-  unlink(i);
-  cellOf_[u] = -1;
-  --live_;
-}
-
 void TiledSpatialGrid::queryRadius(Point2 center, double radius,
                                    std::vector<int>& out) const {
   if (!(radius >= 0.0)) {
     throw std::invalid_argument{"TiledSpatialGrid: negative query radius"};
   }
   const double r2 = radius * radius;
-  forEachTileInRect(center.x - radius, center.y - radius, center.x + radius,
-                    center.y + radius, [&](int tile) {
-                      forEachInTile(tile, [&](int i) {
-                        if (dist2(pos_[static_cast<std::size_t>(i)], center) <=
-                            r2) {
-                          out.push_back(i);
-                        }
-                      });
-                    });
+  const int cx0 = clampTileX(center.x - radius);
+  const int cx1 = clampTileX(center.x + radius);
+  const int cy0 = clampTileY(center.y - radius);
+  const int cy1 = clampTileY(center.y + radius);
+  for (int cy = cy0; cy <= cy1; ++cy) {
+    for (int cx = cx0; cx <= cx1; ++cx) {
+      for (int i = head_[static_cast<std::size_t>(tileAt(cx, cy))]; i >= 0;
+           i = next_[static_cast<std::size_t>(i)]) {
+        if (dist2(pos_[static_cast<std::size_t>(i)], center) <= r2) {
+          out.push_back(i);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace glr::geom

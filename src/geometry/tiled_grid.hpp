@@ -6,22 +6,19 @@
 /// `SpatialGrid` is a snapshot: every rebuild copies all N positions,
 /// re-sorts them into cells, and throws the structure away a moment later.
 /// That is the right shape for build-once queries (topology analysis) but
-/// makes the channel's receiver index O(N) per rebuild interval with an
-/// allocation burst each time — the dominant scaling wall at city-size
-/// populations. TiledSpatialGrid keeps the same uniform-grid geometry but
-/// stores membership as intrusive doubly-linked lists over pre-sized SoA
-/// arrays (cell, next, prev, recorded position, sample time), so moving one
-/// point is an O(1) relink, refreshing one tile touches only that tile's
-/// members, and nothing allocates after construction.
+/// would cost the channel's receiver index a re-sort and an allocation
+/// burst every rebuild interval. TiledSpatialGrid keeps the same
+/// uniform-grid geometry but stores membership as intrusive doubly-linked
+/// lists over pre-sized SoA arrays (cell, next, prev, recorded position),
+/// so moving one point is an O(1) relink, re-recording a point that stayed
+/// in its tile is a store, and nothing allocates after construction.
 ///
-/// Each point carries the position it was last *recorded* at and the sim
-/// time of that sample. Queries run over recorded positions; callers that
-/// track moving points bound each point's drift by
-/// `maxSpeed * (now - sampleTime(i))` and pad their scan windows
-/// accordingly (see mac::Channel's tiled receiver index). The recorded view
-/// is exactly a SpatialGrid snapshot taken at the points' individual sample
-/// times — pinned bit-identical by property tests across every mobility
-/// model and under churn.
+/// Each point carries the position it was last *recorded* at. Queries run
+/// over recorded positions; callers that track moving points bound each
+/// point's drift since its last record and pad their query radius
+/// accordingly (see mac::Channel's receiver index). The recorded view is
+/// exactly a SpatialGrid snapshot over the recorded positions — pinned
+/// bit-identical by property tests across every mobility model.
 ///
 /// Points outside the construction bounds clamp into edge tiles (the same
 /// rule SpatialGrid uses for its bounding box): membership stays correct
@@ -46,11 +43,6 @@ class TiledSpatialGrid {
                    std::size_t capacity);
 
   [[nodiscard]] std::size_t capacity() const { return cellOf_.size(); }
-  [[nodiscard]] std::size_t size() const { return live_; }
-  [[nodiscard]] double tileSize() const { return tile_; }
-  [[nodiscard]] int numTilesX() const { return nx_; }
-  [[nodiscard]] int numTilesY() const { return ny_; }
-  [[nodiscard]] int numTiles() const { return nx_ * ny_; }
 
   [[nodiscard]] bool contains(int i) const {
     return cellOf_[static_cast<std::size_t>(i)] >= 0;
@@ -58,46 +50,12 @@ class TiledSpatialGrid {
   [[nodiscard]] Point2 recordedPos(int i) const {
     return pos_[static_cast<std::size_t>(i)];
   }
-  [[nodiscard]] double sampleTime(int i) const {
-    return sampleAt_[static_cast<std::size_t>(i)];
-  }
-  /// Tile index a point at `p` belongs to (clamped to the grid).
-  [[nodiscard]] int tileOfPoint(Point2 p) const {
-    return tileAt(clampTileX(p.x), clampTileY(p.y));
-  }
 
-  /// Records point `i` at position `p` sampled at time `t`. Inserts absent
-  /// points; present points are relinked only if their tile changed. O(1).
+  /// Records point `i` at position `p`. Inserts absent points; present
+  /// points are relinked only if their tile changed. O(1). `t` is the sample
+  /// time, which the grid does not store; the parameter stays because
+  /// perfbench/CMakeLists.txt wraps this function by its mangled name.
   void update(int i, Point2 p, double t);
-
-  /// Unlinks point `i` (no-op if absent). O(1).
-  void remove(int i);
-
-  /// Calls fn(i) for every point currently linked into `tile`.
-  /// Must not insert/remove/relink points during iteration.
-  template <typename Fn>
-  void forEachInTile(int tile, Fn&& fn) const {
-    for (int i = head_[static_cast<std::size_t>(tile)]; i >= 0;
-         i = next_[static_cast<std::size_t>(i)]) {
-      fn(i);
-    }
-  }
-
-  /// Calls fn(tile) for every tile overlapping the axis-aligned rect
-  /// [x0,x1] x [y0,y1] (clamped to the grid).
-  template <typename Fn>
-  void forEachTileInRect(double x0, double y0, double x1, double y1,
-                         Fn&& fn) const {
-    const int cx0 = clampTileX(x0);
-    const int cx1 = clampTileX(x1);
-    const int cy0 = clampTileY(y0);
-    const int cy1 = clampTileY(y1);
-    for (int cy = cy0; cy <= cy1; ++cy) {
-      for (int cx = cx0; cx <= cx1; ++cx) {
-        fn(tileAt(cx, cy));
-      }
-    }
-  }
 
   /// Appends to `out` every live point with dist(recordedPos, center) <=
   /// radius (inclusive), in unspecified order — the same contract as
@@ -105,8 +63,11 @@ class TiledSpatialGrid {
   void queryRadius(Point2 center, double radius, std::vector<int>& out) const;
 
  private:
-  /// Detaches `i` from its tile's list without touching cellOf_/live_.
+  /// Detaches `i` from its tile's list without touching cellOf_.
   void unlink(int i);
+  [[nodiscard]] int tileOfPoint(Point2 p) const {
+    return tileAt(clampTileX(p.x), clampTileY(p.y));
+  }
   [[nodiscard]] int tileAt(int cx, int cy) const { return cy * nx_ + cx; }
   [[nodiscard]] int clampTileX(double x) const;
   [[nodiscard]] int clampTileY(double y) const;
@@ -115,7 +76,6 @@ class TiledSpatialGrid {
   double tile_ = 1.0;
   int nx_ = 1;
   int ny_ = 1;
-  std::size_t live_ = 0;
 
   // Intrusive per-tile doubly-linked lists over point ids (SoA, pre-sized
   // at construction; -1 = null everywhere).
@@ -124,7 +84,6 @@ class TiledSpatialGrid {
   std::vector<int> next_;      // per point: next member of its tile
   std::vector<int> prev_;      // per point: previous member, -1 if head
   std::vector<Point2> pos_;    // per point: recorded position
-  std::vector<double> sampleAt_;  // per point: sample time of pos_
 };
 
 }  // namespace glr::geom

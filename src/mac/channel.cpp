@@ -49,16 +49,14 @@ void Channel::attach(Mac* mac) {
 }
 
 void Channel::enableReceiverIndex(double maxRange, double maxSpeed,
-                                  double rebuildInterval, IndexMode mode) {
+                                  double rebuildInterval) {
   if (!(maxRange > 0.0) || !(maxSpeed >= 0.0) || !(rebuildInterval > 0.0)) {
     throw std::invalid_argument{"Channel::enableReceiverIndex: bad params"};
   }
   indexEnabled_ = true;
-  indexMode_ = mode;
   // Tiny absolute pad so FP rounding at the exact range boundary can never
   // exclude a node the threshold check would accept.
   indexMaxRange_ = maxRange + 1e-6;
-  indexMaxSpeed_ = maxSpeed;
   indexSlack_ = maxSpeed * rebuildInterval;
   indexRebuildInterval_ = rebuildInterval;
   effectiveQueryRange_ = std::max(indexMaxRange_, maxNodeRange_ + 1e-6);
@@ -105,12 +103,12 @@ void Channel::buildIndex(sim::SimTime now) {
   // into edge tiles — membership stays exact, only edge occupancy grows.
   geom::Point2 lo{0.0, 0.0};
   geom::Point2 hi{0.0, 0.0};
-  refreshIds_.clear();
-  refreshPos_.clear();
+  std::vector<int> ids;
+  std::vector<geom::Point2> pos;
   for (std::size_t id = 0; id < macs_.size(); ++id) {
     if (macs_[id] == nullptr) continue;
     const geom::Point2 p = positionOf_(static_cast<int>(id));
-    if (refreshIds_.empty()) {
+    if (ids.empty()) {
       lo = hi = p;
     } else {
       lo.x = std::min(lo.x, p.x);
@@ -118,21 +116,15 @@ void Channel::buildIndex(sim::SimTime now) {
       hi.x = std::max(hi.x, p.x);
       hi.y = std::max(hi.y, p.y);
     }
-    refreshIds_.push_back(static_cast<int>(id));
-    refreshPos_.push_back(p);
+    ids.push_back(static_cast<int>(id));
+    pos.push_back(p);
   }
   indexGrid_ = std::make_unique<geom::TiledSpatialGrid>(
       lo, hi, effectiveQueryRange_ + indexSlack_, macs_.size());
-  for (std::size_t k = 0; k < refreshIds_.size(); ++k) {
-    indexGrid_->update(refreshIds_[k], refreshPos_[k], now);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    indexGrid_->update(ids[k], pos[k], now);
   }
   indexBuiltAt_ = now;
-  tileStamp_.assign(static_cast<std::size_t>(indexGrid_->numTiles()), now);
-  janitorCursor_ = 0;
-  janitorCredit_ = 0.0;
-  janitorLastAt_ = now;
-  janitorCycleStartAt_ = now;
-  indexFloor_ = now;
 }
 
 void Channel::refreshAllRecords(sim::SimTime now) {
@@ -144,87 +136,13 @@ void Channel::refreshAllRecords(sim::SimTime now) {
   indexBuiltAt_ = now;
 }
 
-void Channel::refreshTile(int tile, sim::SimTime now) {
-  refreshIds_.clear();
-  indexGrid_->forEachInTile(tile, [this](int i) { refreshIds_.push_back(i); });
-  const std::size_t n = refreshIds_.size();
-  if (n > 0) {
-    refreshPos_.resize(n);
-    gatherPositions(refreshIds_.data(), n, refreshPos_.data());
-    for (std::size_t k = 0; k < n; ++k) {
-      indexGrid_->update(refreshIds_[k], refreshPos_[k], now);
-    }
-  }
-  tileStamp_[static_cast<std::size_t>(tile)] = now;
-}
-
-void Channel::janitorStep(sim::SimTime now) {
-  const int numTiles = indexGrid_->numTiles();
-  janitorCredit_ +=
-      numTiles * (now - janitorLastAt_) / indexRebuildInterval_;
-  janitorLastAt_ = now;
-  // More than one full sweep owed collapses into one: re-sampling a tile
-  // twice at the same instant is pure waste.
-  janitorCredit_ = std::min(janitorCredit_, static_cast<double>(numTiles));
-  int budget = static_cast<int>(janitorCredit_);
-  janitorCredit_ -= budget;
-  while (budget-- > 0) {
-    if (janitorCursor_ == 0) janitorCycleStartAt_ = now;
-    refreshTile(janitorCursor_, now);
-    if (++janitorCursor_ == numTiles) {
-      janitorCursor_ = 0;
-      // Every live record has been re-sampled since the sweep began: a
-      // node that moved tiles mid-sweep was re-recorded by the refresh
-      // that moved it, so no record predates the sweep's start.
-      indexFloor_ = janitorCycleStartAt_;
-    }
-  }
-}
-
 const std::vector<int>& Channel::receiverCandidates(geom::Point2 center) {
-  const double queryRange = effectiveQueryRange_;
   const sim::SimTime now = sim_.now();
   if (!indexGrid_) buildIndex(now);
+  if (now - indexBuiltAt_ > indexRebuildInterval_) refreshAllRecords(now);
   candidateScratch_.clear();
-  if (indexMode_ == IndexMode::kSnapshot) {
-    if (now - indexBuiltAt_ > indexRebuildInterval_) refreshAllRecords(now);
-    indexGrid_->queryRadius(center, queryRange + indexSlack_,
-                            candidateScratch_);
-  } else {
-    // Keep the staleness floor moving, then freshen the tiles this scan
-    // will visit (activity-driven: a region with traffic stays fresh and
-    // pays tight pads; idle regions are only touched by the janitor).
-    janitorStep(now);
-    const double window =
-        queryRange + indexMaxSpeed_ * (now - indexFloor_) + 1e-6;
-    indexGrid_->forEachTileInRect(
-        center.x - window, center.y - window, center.x + window,
-        center.y + window, [&](int tile) {
-          if (now - tileStamp_[static_cast<std::size_t>(tile)] >
-              indexRebuildInterval_) {
-            refreshTile(tile, now);
-          }
-        });
-    // Collect with per-record pads. A node in true range R satisfies
-    // dist(recorded, center) <= R + maxSpeed * (now - its sample time), so
-    // admission on recorded positions keeps every possibly-in-range node;
-    // the window above is the same bound taken at the staleness floor.
-    // Refreshes relink movers before this pass; a mover relinked out of
-    // the window is beyond query range by construction.
-    indexGrid_->forEachTileInRect(
-        center.x - window, center.y - window, center.x + window,
-        center.y + window, [&](int tile) {
-          indexGrid_->forEachInTile(tile, [&](int i) {
-            const double reach =
-                queryRange +
-                indexMaxSpeed_ * (now - indexGrid_->sampleTime(i)) + 1e-6;
-            if (geom::dist2(indexGrid_->recordedPos(i), center) <=
-                reach * reach) {
-              candidateScratch_.push_back(i);
-            }
-          });
-        });
-  }
+  indexGrid_->queryRadius(center, effectiveQueryRange_ + indexSlack_,
+                          candidateScratch_);
   // Ascending ids: receivers are visited in exactly the full-scan order, so
   // enabling the index never reorders simulation events.
   std::sort(candidateScratch_.begin(), candidateScratch_.end());

@@ -85,32 +85,15 @@ class Channel {
     deliveryFilter_ = std::move(filter);
   }
 
-  /// How the receiver index keeps node positions fresh.
-  ///
-  /// kSnapshot re-records every node each `rebuildInterval` (lazily, on the
-  /// first query past the deadline) and pads queries by the worst-case
-  /// drift `maxSpeed * rebuildInterval` — the pinned-golden default, with
-  /// the exact position-sampling sequence of the original whole-grid
-  /// snapshot (only the re-sort and its allocations are gone: stale records
-  /// are relinked in place).
-  ///
-  /// kTiled re-records positions tile by tile: a janitor paced to complete
-  /// one full sweep per `rebuildInterval` plus on-demand refreshes of the
-  /// tiles a query actually scans. Each node carries its own sample time,
-  /// so candidate admission pads by that node's individual staleness and
-  /// the scan window by the staleness floor the janitor guarantees. Work
-  /// per query is O(scanned region), and only nodes in refreshed tiles have
-  /// their mobility evaluated — the position cache is driven by region
-  /// activity instead of touching all N nodes per epoch.
-  enum class IndexMode { kSnapshot, kTiled };
-
   /// Enables the spatial receiver index: candidate receivers for a frame
   /// are looked up in a uniform tiled grid of recorded node positions
-  /// instead of scanning every attached MAC. Recorded positions lag the
-  /// true ones by at most `rebuildInterval`, and queries are padded by the
-  /// corresponding worst-case drift, so delivery decisions are exactly the
-  /// ones the full scan makes (the pad keeps every possibly-in-range node
-  /// in the candidate set; per-node threshold checks are unchanged).
+  /// instead of scanning every attached MAC. Every node is re-recorded each
+  /// `rebuildInterval` (lazily, on the first query past the deadline), so a
+  /// recorded position lags the true one by at most that long. Queries are
+  /// padded by the matching worst-case drift `maxSpeed * rebuildInterval`,
+  /// so delivery decisions are exactly the ones the full scan makes (the
+  /// pad keeps every possibly-in-range node in the candidate set; per-node
+  /// threshold checks are unchanged).
   /// Caveat: this assumes positionOf is a pure function of sim time; if it
   /// integrates state per call (e.g. mobility::RandomWalk), the index's
   /// different query pattern can shift positions by FP rounding.
@@ -121,8 +104,7 @@ class Channel {
   /// lifetime in sim-seconds; smaller = fresher records but more refresh
   /// work.
   void enableReceiverIndex(double maxRange, double maxSpeed,
-                           double rebuildInterval = 0.5,
-                           IndexMode mode = IndexMode::kSnapshot);
+                           double rebuildInterval = 0.5);
 
   /// Gives `nodeId` a heterogeneous transmit range: its transmit power is
   /// scaled so reception succeeds out to `range` metres (propagation is
@@ -188,22 +170,17 @@ class Channel {
   /// the propagation virtual; bit-identical because a skipped entry fails
   /// the threshold check it is skipping.
   [[nodiscard]] double csRangeFor(int nodeId) const;
-  /// Candidate receiver ids near `center` (ascending). Refreshes stale
-  /// recorded positions per the index mode. Only called when the receiver
-  /// index is enabled.
+  /// Candidate receiver ids near `center` (ascending). Re-records every
+  /// node first if the records are older than the rebuild interval. Only
+  /// called when the receiver index is enabled.
   [[nodiscard]] const std::vector<int>& receiverCandidates(
       geom::Point2 center);
   /// Builds the tiled grid over all attached MACs (bounds from the current
   /// positions; capacity = attached id space) and records everyone at now.
   void buildIndex(sim::SimTime now);
-  /// kSnapshot: re-records every attached MAC at now (the exact sampling
-  /// sequence of the legacy whole-grid rebuild).
+  /// Re-records every attached MAC at now (the exact sampling sequence of
+  /// the legacy whole-grid rebuild).
   void refreshAllRecords(sim::SimTime now);
-  /// kTiled: re-records one tile's members at now via the batch gather.
-  void refreshTile(int tile, sim::SimTime now);
-  /// kTiled: advances the round-robin tile sweep that bounds every record's
-  /// staleness; completing a sweep raises the global staleness floor.
-  void janitorStep(sim::SimTime now);
   void gatherPositions(const int* ids, std::size_t n, geom::Point2* out);
 
   sim::Simulator& sim_;
@@ -236,9 +213,7 @@ class Channel {
 
   // Receiver index state (see enableReceiverIndex).
   bool indexEnabled_ = false;
-  IndexMode indexMode_ = IndexMode::kSnapshot;
   double indexMaxRange_ = 0.0;
-  double indexMaxSpeed_ = 0.0;
   double indexSlack_ = 0.0;  // maxSpeed * rebuildInterval
   double indexRebuildInterval_ = 0.5;
   /// Cached max(indexMaxRange_, maxNodeRange_ + 1e-6): the radius every
@@ -248,21 +223,6 @@ class Channel {
   sim::SimTime indexBuiltAt_ = -1.0;
   std::unique_ptr<geom::TiledSpatialGrid> indexGrid_;
   std::vector<int> candidateScratch_;
-
-  // kTiled refresh state. The janitor cursor walks tiles round-robin,
-  // paced so one full sweep completes per rebuild interval; when a sweep
-  // that started at `janitorCycleStartAt_` wraps, every live record has
-  // been re-sampled since that time, so `indexFloor_` (the staleness floor
-  // all scan windows pad by) rises to it. Per-tile stamps let queries skip
-  // refreshing regions that are already fresh.
-  std::vector<double> tileStamp_;   // per tile: last refresh time
-  int janitorCursor_ = 0;
-  double janitorCredit_ = 0.0;      // fractional tiles owed to the sweep
-  sim::SimTime janitorLastAt_ = 0.0;
-  sim::SimTime janitorCycleStartAt_ = 0.0;
-  sim::SimTime indexFloor_ = 0.0;   // no record is staler than this time
-  std::vector<int> refreshIds_;     // tile-refresh scratch
-  std::vector<geom::Point2> refreshPos_;
 
   // Per-transmission delivery scratch (flat SoA arrays, reused).
   std::vector<int> candIds_;

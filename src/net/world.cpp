@@ -63,10 +63,9 @@ void World::setAgent(int id, std::unique_ptr<Agent> agent) {
       [raw](const Packet& p, int dst, bool ok) { raw->onTxStatus(p, dst, ok); });
 }
 
-void World::enableSpatialIndex(double maxSpeed, double rebuildInterval,
-                               mac::Channel::IndexMode mode) {
+void World::enableSpatialIndex(double maxSpeed, double rebuildInterval) {
   channel_.enableReceiverIndex(channel_.thresholds().rxRange, maxSpeed,
-                               rebuildInterval, mode);
+                               rebuildInterval);
 }
 
 void World::reserveNodes(std::size_t n) {

@@ -66,14 +66,7 @@ class World {
   /// incrementally per query (RandomWalk) can drift by FP rounding because
   /// the index changes which times get queried. Only the per-frame receiver
   /// enumeration cost drops from O(n) to O(neighborhood).
-  ///
-  /// `mode` picks how recorded positions are kept fresh: kSnapshot (the
-  /// pinned-golden default) re-records all nodes per interval; kTiled
-  /// re-records only janitor-swept and actively queried tiles, with
-  /// per-node staleness pads (see mac::Channel::IndexMode).
-  void enableSpatialIndex(
-      double maxSpeed, double rebuildInterval = 0.5,
-      mac::Channel::IndexMode mode = mac::Channel::IndexMode::kSnapshot);
+  void enableSpatialIndex(double maxSpeed, double rebuildInterval = 0.5);
 
   /// Pre-sizes node storage (call before the addNode loop at large
   /// populations so per-node vectors never re-churn mid-construction).

@@ -18,8 +18,8 @@ std::uint64_t steadyNowNs() {
 }  // namespace
 
 void Simulator::heapPopTop() {
-  const HeapKey last = heapKeys_.back();
-  const HeapAux lastAux = heapAux_.back();
+  const EventKey last = heapKeys_.back();
+  const EventAux lastAux = heapAux_.back();
   heapKeys_.pop_back();
   heapAux_.pop_back();
   const std::size_t n = heapKeys_.size();
@@ -40,7 +40,7 @@ void Simulator::heapPopTop() {
     static_assert(kHeapArity == 4, "min-child tournament is unrolled for 4");
     const std::size_t firstChild = i * kHeapArity + 1;
     if (firstChild + kHeapArity <= n) {
-      const HeapKey* ch = &heapKeys_[firstChild];
+      const EventKey* ch = &heapKeys_[firstChild];
       const std::size_t a = earlier(ch[1], ch[0]) ? firstChild + 1 : firstChild;
       const std::size_t b =
           earlier(ch[3], ch[2]) ? firstChild + 3 : firstChild + 2;
@@ -75,7 +75,7 @@ void Simulator::heapPopTop() {
   heapAux_[i] = lastAux;
 }
 
-void Simulator::siftDownHole(std::size_t i, HeapKey key, HeapAux aux) {
+void Simulator::siftDownHole(std::size_t i, EventKey key, EventAux aux) {
   const std::size_t n = heapKeys_.size();
   for (;;) {
     const std::size_t firstChild = i * kHeapArity + 1;
@@ -95,18 +95,13 @@ void Simulator::siftDownHole(std::size_t i, HeapKey key, HeapAux aux) {
 }
 
 void Simulator::skipStale() {
-  while (!qEmpty() && stale(qTopAux())) {
-    qPop();
+  while (!heapKeys_.empty() && stale(heapAux_.front())) {
+    heapPopTop();
     --staleCount_;
   }
 }
 
 void Simulator::compactHeap() {
-  if (cal_) {
-    cal_->removeIf([this](const HeapAux& aux) { return stale(aux); });
-    staleCount_ = 0;
-    return;
-  }
   const std::size_t n = heapKeys_.size();
   std::size_t w = 0;
   for (std::size_t r = 0; r < n; ++r) {
@@ -129,31 +124,27 @@ void Simulator::compactHeap() {
 
 bool Simulator::hasPending() {
   skipStale();
-  return !qEmpty();
+  return !heapKeys_.empty();
 }
 
 void Simulator::reserve(std::size_t events) {
   slab_.reserve(events);
-  if (cal_) {
-    cal_->reserve(events);
-  } else {
-    heapKeys_.reserve(events);
-    heapAux_.reserve(events);
-  }
+  heapKeys_.reserve(events);
+  heapAux_.reserve(events);
 }
 
 std::uint64_t Simulator::fireTop() {
   // One peek serves the stale check, the callback fetch, and the clock
   // bump: the slot's cacheline is loaded exactly once per event.
-  const HeapAux aux = qTopAux();
+  const EventAux aux = heapAux_.front();
   Slot& s = slab_[aux.slot];
   if (s.generation != aux.generation) {
-    qPop();
+    heapPopTop();
     --staleCount_;
     return 0;
   }
-  now_ = bitsToTime(qTopKey().timeBits);
-  qPop();
+  now_ = bitsToTime(heapKeys_.front().timeBits);
+  heapPopTop();
   // Move the callback out and free the slot *before* invoking: the callback
   // may schedule new events (reusing this very slot) and late cancels on it
   // must already be no-ops. `s` stays valid — only the callback can grow
@@ -173,16 +164,15 @@ std::vector<Simulator::PendingEvent> Simulator::pendingEvents() {
         "Simulator::pendingEvents: event descriptions are not enabled"};
   }
   // Drain every record in fire order, shedding stale (cancelled) ones, then
-  // re-insert the survivors. Re-insertion in ascending key order is cheap in
-  // both modes (heap pushes never sift, calendar pushes are O(1)) and cannot
-  // change the fire sequence: pops always take the exact (time, seq)
-  // minimum, whatever the internal layout.
-  std::vector<std::pair<HeapKey, HeapAux>> records;
+  // re-insert the survivors. Re-insertion in ascending key order is cheap
+  // (heap pushes never sift) and cannot change the fire sequence: pops always
+  // take the exact (time, seq) minimum, whatever the internal layout.
+  std::vector<std::pair<EventKey, EventAux>> records;
   records.reserve(queueSize());
-  while (!qEmpty()) {
-    const HeapKey key = qTopKey();
-    const HeapAux aux = qTopAux();
-    qPop();
+  while (!heapKeys_.empty()) {
+    const EventKey key = heapKeys_.front();
+    const EventAux aux = heapAux_.front();
+    heapPopTop();
     if (stale(aux)) {
       --staleCount_;
       continue;
@@ -193,11 +183,7 @@ std::vector<Simulator::PendingEvent> Simulator::pendingEvents() {
   std::vector<PendingEvent> out;
   out.reserve(records.size());
   for (const auto& [key, aux] : records) {
-    if (cal_) {
-      cal_->push(key, aux);
-    } else {
-      heapPush(key, aux);
-    }
+    heapPush(key, aux);
     // Events scheduled before descriptor storage was enabled fall outside
     // descs_; report them as undescribed so the checkpoint writer can refuse
     // loudly instead of silently losing them.
@@ -227,19 +213,14 @@ EventHandle Simulator::scheduleKeyed(EventKey key, const EventDesc& desc,
   }
   Slot& s = slab_[slot];
   s.fn = std::move(fn);
-  const HeapAux aux{slot, s.generation};
-  if (cal_) {
-    cal_->push(key, aux);
-  } else {
-    heapPush(key, aux);
-  }
+  heapPush(key, EventAux{slot, s.generation});
   return EventHandle{this, slot, s.generation};
 }
 
 void Simulator::clearPending() {
-  while (!qEmpty()) {
-    const HeapAux aux = qTopAux();
-    qPop();
+  while (!heapKeys_.empty()) {
+    const EventAux aux = heapAux_.front();
+    heapPopTop();
     if (!stale(aux)) releaseSlot(aux.slot);
   }
   staleCount_ = 0;
@@ -282,8 +263,8 @@ std::uint64_t Simulator::run(SimTime until) {
   }
   std::uint64_t ran = 0;
   const std::uint64_t untilBits = timeToBits(until);
-  while (!qEmpty() && !stopped_) {
-    if (qTopKey().timeBits > untilBits && !stale(qTopAux())) {
+  while (!heapKeys_.empty() && !stopped_) {
+    if (heapKeys_.front().timeBits > untilBits && !stale(heapAux_.front())) {
       break;
     }
     ran += fireTop();
@@ -294,14 +275,14 @@ std::uint64_t Simulator::run(SimTime until) {
   // The old kernel skipped cancelled heads before observing stop(), so a
   // queue holding only dead records still counted as drained.
   if (stopped_) skipStale();
-  if (qEmpty() && now_ < until && until < kForever) now_ = until;
+  if (heapKeys_.empty() && now_ < until && until < kForever) now_ = until;
   return ran;
 }
 
 std::uint64_t Simulator::step(std::uint64_t n) {
   stopped_ = false;
   std::uint64_t ran = 0;
-  while (ran < n && !qEmpty() && !stopped_) {
+  while (ran < n && !heapKeys_.empty() && !stopped_) {
     ran += fireTop();
     if (wallDeadlineNs_ != 0 && (++wallCheckTick_ & kWallCheckMask) == 0) {
       checkWallDeadline();

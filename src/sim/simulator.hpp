@@ -21,12 +21,10 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/inplace_function.hpp"
 
 namespace glr::sim {
@@ -35,6 +33,20 @@ namespace glr::sim {
 using SimTime = double;
 
 class Simulator;
+
+/// What the queue orders: the IEEE-754 bit pattern of a non-negative time
+/// (orders identically to the double) and the insertion sequence number that
+/// breaks ties deterministically.
+struct EventKey {
+  std::uint64_t timeBits;
+  std::uint64_t seq;
+};
+
+/// Queue payload: a {slot, generation} reference into the simulator's slab.
+struct EventAux {
+  std::uint32_t slot;
+  std::uint32_t generation;
+};
 
 /// Optional per-event description: a small POD tag that lets the checkpoint
 /// layer re-create a pending event's callback after a restore (closures are
@@ -103,30 +115,6 @@ class Simulator {
 
   using Callback = InplaceFunction<void(), kSimCallbackCapacity>;
 
-  /// Which structure orders the pending-event set. Both fire the identical
-  /// event sequence (same (time, seq) tie-break); they differ only in cost
-  /// profile — the 4-ary heap is the small/medium-scenario default, the
-  /// calendar queue keeps per-event cost flat for million-deep queues.
-  enum class QueueMode { kHeap4, kCalendar };
-
-  /// Switches the event-ordering structure. Only legal while the queue is
-  /// empty (typically right after construction, before any scheduling).
-  void setQueueMode(QueueMode mode) {
-    if (queueSize() != 0) {
-      throw std::logic_error{
-          "Simulator::setQueueMode: queue must be empty to switch"};
-    }
-    if (mode == QueueMode::kCalendar) {
-      if (!cal_) cal_ = std::make_unique<CalendarQueue>();
-    } else {
-      cal_.reset();
-    }
-  }
-
-  [[nodiscard]] QueueMode queueMode() const {
-    return cal_ ? QueueMode::kCalendar : QueueMode::kHeap4;
-  }
-
   /// Current simulation time (seconds).
   [[nodiscard]] SimTime now() const { return now_; }
 
@@ -162,8 +150,8 @@ class Simulator {
   /// Snapshot of every live (non-cancelled) pending event in exact fire
   /// order. Requires enableEventDescriptions(). Internally drains and
   /// re-inserts the queue records; the observable event sequence is
-  /// unchanged — both queue modes pop the exact (time, seq) minimum
-  /// regardless of internal layout, so re-insertion cannot reorder fires.
+  /// unchanged — the heap pops the exact (time, seq) minimum regardless of
+  /// internal layout, so re-insertion cannot reorder fires.
   [[nodiscard]] std::vector<PendingEvent> pendingEvents();
 
   /// Restore support: re-creates one pending event under an exact
@@ -217,9 +205,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t eventsExecuted() const { return executed_; }
 
   /// Events currently queued (including cancelled-but-not-popped ones).
-  [[nodiscard]] std::size_t queueSize() const {
-    return cal_ ? cal_->size() : heapKeys_.size();
-  }
+  [[nodiscard]] std::size_t queueSize() const { return heapKeys_.size(); }
 
   /// Whether there is at least one non-cancelled event pending.
   [[nodiscard]] bool hasPending();
@@ -255,45 +241,24 @@ class Simulator {
   /// non-negative doubles order identically to their bit patterns, so the
   /// comparator is pure integer work (no NaN/denormal edge cases in the hot
   /// loop) while breaking ties by insertion order exactly like the old
-  /// (time, seq) comparator. The record types are shared with the calendar
-  /// queue (calendar_queue.hpp) so both modes order the same data.
-  using HeapKey = EventKey;
-  using HeapAux = EventAux;
-
-  static bool earlier(const HeapKey& a, const HeapKey& b) {
+  /// (time, seq) comparator.
+  static bool earlier(const EventKey& a, const EventKey& b) {
     // Distinct times dominate and the equality branch predicts ~always
     // taken; the data-random outcome below it compiles to setcc/cmov.
-    return earlierKey(a, b);
+    if (a.timeBits != b.timeBits) return a.timeBits < b.timeBits;
+    return a.seq < b.seq;
   }
 
-  [[nodiscard]] bool stale(const HeapAux& a) const {
+  [[nodiscard]] bool stale(const EventAux& a) const {
     return slab_[a.slot].generation != a.generation;
   }
 
-  void heapPush(HeapKey key, HeapAux aux);
+  void heapPush(EventKey key, EventAux aux);
   void heapPopTop();
 
-  /// Queue-mode dispatch. One predictable branch on `cal_`; the heap path
-  /// stays the fall-through so the default mode's hot loop is unperturbed.
-  [[nodiscard]] bool qEmpty() const {
-    return cal_ ? cal_->empty() : heapKeys_.empty();
-  }
-  [[nodiscard]] const HeapKey& qTopKey() {
-    return cal_ ? cal_->topKey() : heapKeys_.front();
-  }
-  [[nodiscard]] const HeapAux& qTopAux() {
-    return cal_ ? cal_->topAux() : heapAux_.front();
-  }
-  void qPop() {
-    if (cal_) {
-      cal_->popTop();
-    } else {
-      heapPopTop();
-    }
-  }
   /// Sinks the record in the hole at `i` to its place, assuming children of
   /// `i` may violate the heap property with respect to (key, aux).
-  void siftDownHole(std::size_t i, HeapKey key, HeapAux aux);
+  void siftDownHole(std::size_t i, EventKey key, EventAux aux);
   /// Discards records for cancelled/fired events at the head of the heap.
   void skipStale();
   /// Removes every stale record in one O(n) filter + Floyd heapify pass.
@@ -363,11 +328,8 @@ class Simulator {
 
   std::vector<Slot> slab_;
   std::uint32_t freeHead_ = kNilSlot;
-  std::vector<HeapKey> heapKeys_;
-  std::vector<HeapAux> heapAux_;
-  /// Non-null iff the calendar-queue mode is active (then heapKeys_/heapAux_
-  /// stay empty and all records live in the wheel).
-  std::unique_ptr<CalendarQueue> cal_;
+  std::vector<EventKey> heapKeys_;
+  std::vector<EventAux> heapAux_;
   /// Heap records whose event was cancelled (fired events pop immediately,
   /// cancelled ones linger); drives the compaction heuristic.
   std::size_t staleCount_ = 0;
@@ -409,13 +371,8 @@ inline EventHandle Simulator::scheduleTagged(SimTime t, const EventDesc* desc,
   }
   Slot& s = slab_[slot];
   s.fn = std::move(fn);
-  const HeapKey key{timeToBits(t), nextSeq_++};
-  const HeapAux aux{slot, s.generation};
-  if (cal_) {
-    cal_->push(key, aux);
-  } else {
-    heapPush(key, aux);
-  }
+  const EventKey key{timeToBits(t), nextSeq_++};
+  heapPush(key, EventAux{slot, s.generation});
   return EventHandle{this, slot, s.generation};
 }
 
@@ -428,7 +385,7 @@ inline EventHandle Simulator::scheduleAt(SimTime t, const EventDesc& desc,
   return scheduleTagged(t, &desc, std::move(fn));
 }
 
-inline void Simulator::heapPush(HeapKey key, HeapAux aux) {
+inline void Simulator::heapPush(EventKey key, EventAux aux) {
   // Hole insertion: shift parents down into the hole and place the record
   // once, instead of swap chains (one store per level, not three).
   std::size_t i = heapKeys_.size();

@@ -159,19 +159,6 @@ TEST(Checkpoint, DirectDeliveryRestoreBitIdentical) {
   expectRestoreBitIdentical(cfg, "ckpt_direct.bin");
 }
 
-TEST(Checkpoint, CalendarQueueRestoreBitIdentical) {
-  // The snapshot stores (timeBits, seq) keys, so restore must be mode-
-  // agnostic; pin the calendar kernel explicitly.
-  ScenarioConfig cfg;
-  cfg.protocol = Protocol::kGlr;
-  cfg.simTime = 300.0;
-  cfg.numMessages = 150;
-  cfg.seed = 13;
-  cfg.kernelQueue = glr::experiment::KernelQueue::kCalendar;
-  cfg.checkpointEvery = 180.0;
-  expectRestoreBitIdentical(cfg, "ckpt_calendar.bin");
-}
-
 // ---------------------------------------------------------------------------
 // Error paths: the reader refuses loudly, never limps.
 // ---------------------------------------------------------------------------

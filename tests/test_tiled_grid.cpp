@@ -1,10 +1,10 @@
 // Property tests for the incremental tiled spatial index: queries over the
 // recorded point set must be bit-identical to a from-scratch SpatialGrid
 // built over the same recorded positions — across every registered mobility
-// model, under churn (remove/re-insert), and under partial (tile-like)
-// refresh where recorded positions have mixed staleness. Plus the
-// scenario-level pin: a full run with the tiled receiver index must
-// reproduce the snapshot index's ScenarioResult bit for bit.
+// model and under partial refresh where recorded positions have mixed
+// staleness. Plus the channel-level pin: a World whose channel enumerates
+// broadcast receivers through the index must deliver exactly what the
+// unindexed full scan delivers, under mobility and radio churn.
 
 #include <gtest/gtest.h>
 
@@ -16,14 +16,18 @@
 #include <string>
 #include <vector>
 
-#include "experiment/runner.hpp"
-#include "experiment/scenario.hpp"
 #include "geometry/point.hpp"
 #include "geometry/spatial_grid.hpp"
 #include "geometry/tiled_grid.hpp"
+#include "mac/channel.hpp"
+#include "mac/mac.hpp"
 #include "mobility/mobility.hpp"
 #include "mobility/registry.hpp"
+#include "net/packet.hpp"
+#include "net/world.hpp"
+#include "phy/propagation.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -79,7 +83,7 @@ void expectMatchesScratch(const TiledSpatialGrid& grid, Rng& rng,
   }
 }
 
-TEST(TiledSpatialGrid, MatchesScratchRebuildAcrossAllMobilityModelsAndChurn) {
+TEST(TiledSpatialGrid, MatchesScratchRebuildAcrossAllMobilityModels) {
   constexpr int kNodes = 70;
   for (const std::string& model : glr::mobility::mobilityModelNames()) {
     glr::mobility::ModelParams params;
@@ -102,25 +106,14 @@ TEST(TiledSpatialGrid, MatchesScratchRebuildAcrossAllMobilityModelsAndChurn) {
       grid.update(i, start, 0.0);
     }
 
-    Rng churnRng = master.fork(2);
     Rng queryRng = master.fork(3);
-    std::vector<bool> up(kNodes, true);
     for (int step = 1; step <= 20; ++step) {
       const double t = 0.7 * step;
-      // Churn: toggle a few nodes each step; down nodes leave the index,
-      // returning nodes re-enter at their current position.
-      for (int k = 0; k < 4; ++k) {
-        const int i = static_cast<int>(churnRng.below(kNodes));
-        up[static_cast<std::size_t>(i)] = !up[static_cast<std::size_t>(i)];
-        if (!up[static_cast<std::size_t>(i)]) grid.remove(i);
-      }
-      // Partial refresh — only a staggered third of the up nodes re-record
-      // each step (mirroring tile-wise refresh), so recorded positions have
-      // mixed staleness when the comparison runs.
+      // Partial refresh — only a staggered third of the nodes re-record
+      // each step, so recorded positions have mixed staleness when the
+      // comparison runs.
       for (int i = 0; i < kNodes; ++i) {
-        if (!up[static_cast<std::size_t>(i)]) continue;
-        const bool due = (i + step) % 3 == 0 || !grid.contains(i);
-        if (due) {
+        if ((i + step) % 3 == 0) {
           grid.update(i, nodes[static_cast<std::size_t>(i)]->positionAt(t),
                       t);
         }
@@ -147,51 +140,133 @@ TEST(TiledSpatialGrid, HandlesPointsOutsideConstructionBounds) {
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(TiledSpatialGrid, RemoveAndRelinkKeepListsConsistent) {
+TEST(TiledSpatialGrid, RelinkKeepsListsConsistent) {
   TiledSpatialGrid grid{{0.0, 0.0}, {100.0, 100.0}, 10.0, 16};
   Rng rng{99};
-  std::vector<bool> in(16, false);
+  std::vector<int> live;
   for (int op = 0; op < 2000; ++op) {
     const int i = static_cast<int>(rng.below(16));
-    if (rng.below(4) == 0 && in[static_cast<std::size_t>(i)]) {
-      grid.remove(i);
-      in[static_cast<std::size_t>(i)] = false;
-    } else {
-      grid.update(i, {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)},
-                  static_cast<double>(op));
-      in[static_cast<std::size_t>(i)] = true;
+    grid.update(i, {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)},
+                static_cast<double>(op));
+    if (std::find(live.begin(), live.end(), i) == live.end()) {
+      live.insert(std::upper_bound(live.begin(), live.end(), i), i);
     }
-    const auto live = static_cast<std::size_t>(
-        std::count(in.begin(), in.end(), true));
-    ASSERT_EQ(grid.size(), live);
-    // Full-area query must see exactly the live set.
+    // Full-area query must see exactly the live set, each point once.
     std::vector<int> out;
     grid.queryRadius({50.0, 50.0}, 1000.0, out);
-    ASSERT_EQ(out.size(), live);
+    std::sort(out.begin(), out.end());
+    ASSERT_EQ(out, live);
   }
 }
 
-// Scenario-level pin: the activity-driven tiled index must reproduce the
-// snapshot index bit for bit on a mid-size run with churn (mobility models
-// here are pure functions of sim time; RandomWalk is excluded by the same
-// FP-replay caveat the snapshot index documents).
-TEST(TiledSpatialGrid, ScenarioResultsBitIdenticalToSnapshotIndex) {
+// ---------------------------------------------------------------------------
+// Channel receiver index vs. the unindexed full scan.
+// ---------------------------------------------------------------------------
+
+/// One received broadcast, as the receiving node's MAC reports it.
+struct Reception {
+  double time;
+  int from;
+  std::string tag;
+  bool operator==(const Reception&) const = default;
+};
+
+struct BroadcastRun {
+  std::vector<std::vector<Reception>> perReceiver;
+  glr::mac::ChannelStats stats;
+};
+
+/// Drives random broadcasts from every node of a mobile, churning World and
+/// logs what each node receives. `indexed` routes broadcast receiver
+/// enumeration through the channel's spatial index; everything else
+/// (seeds, schedule, mobility) is identical between the two settings.
+BroadcastRun runBroadcasts(const std::string& model, bool indexed) {
+  constexpr int kNodes = 80;
+  constexpr double kSpeedMax = 20.0;
+  constexpr double kSimTime = 60.0;
+  glr::sim::Simulator sim;
+  glr::phy::TwoRayGround propagation;
+  glr::phy::RadioParams radio;
+  radio.nominalRange = kRadius;
+  glr::net::World world{sim, propagation, radio, glr::mac::MacParams{}};
+
+  glr::mobility::ModelParams params;
+  params.area = {kW, kH};
+  params.speedMin = 1.0;
+  params.speedMax = kSpeedMax;
+  params.pause = 0.5;
+  params.home = {kW / 2.0, kH / 2.0};
+  Rng master{
+      static_cast<std::uint64_t>(std::hash<std::string>{}(model) | 1u)};
+  Rng placement = master.fork(1);
+  BroadcastRun run;
+  run.perReceiver.resize(kNodes);
+  for (int i = 0; i < kNodes; ++i) {
+    const Point2 start = glr::mobility::randomPosition(params.area, placement);
+    const int id = world.addNode(
+        glr::mobility::makeMobilityModel(model, params, start,
+                                         master.fork(100 + i)),
+        master.fork(200 + i));
+    world.macOf(id).setReceiveCallback(
+        [&run, &sim, id](const glr::net::Packet& p, int from) {
+          run.perReceiver[static_cast<std::size_t>(id)].push_back(
+              {sim.now(), from, p.kind});
+        });
+  }
+  if (indexed) world.enableSpatialIndex(kSpeedMax, 0.5);
+
+  // Each node broadcasts at exponential intervals; a churn process toggles
+  // random radios so receivers drop in and out mid-frame.
+  Rng traffic = master.fork(2);
+  int nextTag = 0;
+  for (int i = 0; i < kNodes; ++i) {
+    for (double t = traffic.exponential(1.0); t < kSimTime;
+         t += traffic.exponential(1.0)) {
+      const std::string tag = std::to_string(nextTag++);
+      sim.scheduleAt(t, [&world, i, tag] {
+        glr::net::Packet p;
+        p.bytes = 64;
+        p.kind = tag;
+        world.macOf(i).send(std::move(p), glr::net::kBroadcast);
+      });
+    }
+  }
+  Rng churn = master.fork(3);
+  for (double t = 0.25; t < kSimTime; t += 0.25) {
+    const int i = static_cast<int>(churn.below(kNodes));
+    sim.scheduleAt(t, [&world, i] {
+      world.setRadioUp(i, !world.macOf(i).radioUp());
+    });
+  }
+  sim.run(kSimTime);
+  run.stats = world.channel().stats();
+  return run;
+}
+
+TEST(ReceiverIndex, DeliveriesMatchFullScanUnderMobilityAndChurn) {
   for (const char* model : {"waypoint", "gauss_markov"}) {
-    glr::experiment::ScenarioConfig cfg;
-    cfg.numNodes = 80;
-    cfg.trafficNodes = 60;
-    cfg.simTime = 60.0;
-    cfg.numMessages = 40;
-    cfg.seed = 11;
-    cfg.mobility.model = model;
-    cfg.churn = glr::experiment::churnPreset("moderate");
-    const auto snapshot = glr::experiment::runScenario(cfg);
-    cfg.spatialIndex = glr::experiment::SpatialIndexMode::kTiled;
-    const auto tiled = glr::experiment::runScenario(cfg);
-    EXPECT_TRUE(glr::experiment::bitIdenticalIgnoringWall(snapshot, tiled))
+    const BroadcastRun scan = runBroadcasts(model, false);
+    const BroadcastRun indexed = runBroadcasts(model, true);
+    for (std::size_t v = 0; v < scan.perReceiver.size(); ++v) {
+      const auto& a = scan.perReceiver[v];
+      const auto& b = indexed.perReceiver[v];
+      const auto diff = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+      EXPECT_TRUE(diff.first == a.end() && diff.second == b.end())
+          << model << " receiver " << v << ": logs of " << a.size()
+          << " and " << b.size() << " receptions first differ at "
+          << (diff.first - a.begin());
+    }
+    EXPECT_EQ(scan.stats.framesSent, indexed.stats.framesSent) << model;
+    EXPECT_EQ(scan.stats.framesDelivered, indexed.stats.framesDelivered)
         << model;
-    EXPECT_EQ(snapshot.eventsExecuted, tiled.eventsExecuted) << model;
-    EXPECT_GT(snapshot.delivered, 0u) << model;
+    EXPECT_EQ(scan.stats.collisions, indexed.stats.collisions) << model;
+    EXPECT_EQ(scan.stats.rxWhileTx, indexed.stats.rxWhileTx) << model;
+    EXPECT_EQ(scan.stats.faultDrops, indexed.stats.faultDrops) << model;
+    EXPECT_EQ(scan.stats.airTimeSeconds, indexed.stats.airTimeSeconds)
+        << model;
+    // The workload must exercise what it compares.
+    EXPECT_GT(scan.stats.framesDelivered, 1000u) << model;
+    EXPECT_GT(scan.stats.collisions, 0u) << model;
   }
 }
 
