@@ -17,7 +17,8 @@
 ///                backoff, eviction — at steady state.
 /// Each workload runs `repeats` times; the JSON records best-of wall and
 /// Mev/s against the frozen PR-2 baseline (BENCH_kernel.json: 0.692 Mev/s
-/// end-to-end).
+/// end-to-end), under the host stamp (CPU, cores, compiler, build type, git
+/// sha) of the machine that ran it.
 ///
 /// The binary also installs a counting global allocator and records the
 /// steady-state allocation count of a *repeat* golden run (arenas and
@@ -56,6 +57,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench_common.hpp"
 #include "counting_allocator.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
@@ -302,6 +304,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"hotpath\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  glr::bench::writeHostStamp(out);
   std::fprintf(out,
                "  \"golden\": {\"scenario\": \"glr-50n-%.0fs-%dmsg-seed7\", "
                "\"events\": %llu, \"best_wall_seconds\": %.3f, "

@@ -191,6 +191,25 @@ struct Builder {
   }
 };
 
+/// Bounding super-triangle of `points` (n >= 1), far enough away to act as
+/// "infinity". buildInto inserts it as three real vertices, so edgeStatus
+/// must see the very same three points.
+std::array<Point2, 3> superTriangle(std::span<const Point2> points) {
+  double minX = points[0].x, maxX = minX;
+  double minY = points[0].y, maxY = minY;
+  for (const Point2 p : points.subspan(1)) {
+    minX = std::min(minX, p.x);
+    maxX = std::max(maxX, p.x);
+    minY = std::min(minY, p.y);
+    maxY = std::max(maxY, p.y);
+  }
+  const double cx = (minX + maxX) / 2.0;
+  const double cy = (minY + maxY) / 2.0;
+  const double extent = std::max({maxX - minX, maxY - minY, 1.0});
+  const double m = 1e6 * extent;
+  return {{{cx - 2.0 * m, cy - m}, {cx + 2.0 * m, cy - m}, {cx, cy + 2.0 * m}}};
+}
+
 /// Per-thread construction scratch (scenarios never share a thread
 /// mid-build; the sweep engine runs whole scenarios per worker).
 Builder& builderScratch() {
@@ -260,30 +279,10 @@ void Delaunay::buildInto(Delaunay& result, const std::vector<Point2>& points) {
 
   b.reset(points);
 
-  // Bounding super-triangle far enough away to act as "infinity".
-  bool haveBounds = false;
-  double minX = 0, maxX = 0, minY = 0, maxY = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (result.duplicateOf_[i] != static_cast<int>(i)) continue;
-    if (!haveBounds) {
-      minX = maxX = points[i].x;
-      minY = maxY = points[i].y;
-      haveBounds = true;
-      continue;
-    }
-    minX = std::min(minX, points[i].x);
-    maxX = std::max(maxX, points[i].x);
-    minY = std::min(minY, points[i].y);
-    maxY = std::max(maxY, points[i].y);
-  }
-  const double cx = (minX + maxX) / 2.0;
-  const double cy = (minY + maxY) / 2.0;
-  const double extent = std::max({maxX - minX, maxY - minY, 1.0});
-  const double m = 1e6 * extent;
+  // Duplicates never move the bounding box, so all points give the same
+  // super-triangle as the unique ones.
   const int s0 = static_cast<int>(n);
-  b.pts.push_back({cx - 2.0 * m, cy - m});
-  b.pts.push_back({cx + 2.0 * m, cy - m});
-  b.pts.push_back({cx, cy + 2.0 * m});
+  for (const Point2 p : superTriangle(points)) b.pts.push_back(p);
   b.lastAlive = b.newTriangle(s0, s0 + 1, s0 + 2);
 
   // Insert unique points in original input order (the order affects which
@@ -358,6 +357,76 @@ bool Delaunay::hasEdge(int u, int v) const {
   if (u < 0 || static_cast<std::size_t>(u) + 1 >= adjOff_.size()) return false;
   const auto span = neighbors(u);
   return std::binary_search(span.begin(), span.end(), v);
+}
+
+EdgeStatus Delaunay::edgeStatus(std::span<const Point2> points, int ai,
+                                int bi) {
+  const Point2 a = points[static_cast<std::size_t>(ai)];
+  const Point2 b = points[static_cast<std::size_t>(bi)];
+  if (a == b) return EdgeStatus::NotEdge;  // one merged vertex
+
+  // The circles through a and b form a one-parameter family. A point left
+  // of the directed line ab is strictly inside exactly the circles that
+  // reach further left than its own circle through a and b, and likewise
+  // on the right; a point on the open segment ab is inside all of them, a
+  // point on the line beyond a or b inside none. So the empty circles lie
+  // between the tightest left circle and the tightest right one, and the
+  // verdict is where each side's tightest point sits against the other
+  // side's circle. Find the tightest real point per side first; every
+  // incircle test below keeps a real point in the last (translated) slot,
+  // which is what keeps the floating-point filter effective next to the
+  // far super vertices.
+  Point2 left, right;
+  bool haveLeft = false, haveRight = false, haveThird = false;
+  for (const Point2 p : points) {
+    if (p == a || p == b) continue;
+    haveThird = true;
+    const double o = orient2d(a, b, p);
+    if (o > 0.0) {
+      if (!haveLeft || incircle(a, b, left, p) > 0.0) left = p;
+      haveLeft = true;
+    } else if (o < 0.0) {
+      if (!haveRight || incircle(b, a, right, p) > 0.0) right = p;
+      haveRight = true;
+    } else if (onSegment(a, b, p)) {
+      return EdgeStatus::NotEdge;
+    }
+  }
+  if (!haveThird) return EdgeStatus::Edge;  // buildInto's two-vertex case
+
+  // Every left/right pair of extremes must be separated: the right point
+  // strictly outside the circle through a, b and the left point. `blocks`
+  // takes the sign of "strictly inside" and notes a cocircular pair.
+  bool tie = false;
+  const auto blocks = [&tie](double inside) {
+    tie = tie || inside == 0.0;
+    return inside > 0.0;
+  };
+  if (haveLeft && haveRight && blocks(incircle(a, b, left, right))) {
+    return EdgeStatus::NotEdge;
+  }
+  // The super vertices are compared only across sides: with the real
+  // extreme opposite (the sign flip swaps it into the last slot), or with
+  // each other through an odd rotation that puts a last.
+  const std::array<Point2, 3> super = superTriangle(points);
+  std::array<double, 3> side{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Point2 s = super[i];
+    side[i] = orient2d(s, a, b);  // == orient2d(a, b, s), b translated
+    if ((side[i] > 0.0 && haveRight && blocks(incircle(a, b, s, right))) ||
+        (side[i] < 0.0 && haveLeft && blocks(-incircle(a, b, s, left)))) {
+      return EdgeStatus::NotEdge;
+    }
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      if (side[i] > 0.0 && side[j] < 0.0 &&
+          blocks(-incircle(b, super[i], super[j], a))) {
+        return EdgeStatus::NotEdge;
+      }
+    }
+  }
+  return tie ? EdgeStatus::Tie : EdgeStatus::Edge;
 }
 
 std::vector<int> convexHull(const std::vector<Point2>& points) {

@@ -8,7 +8,9 @@
 ///
 /// The triangulation is the basis for the localized Delaunay spanner (LDTG)
 /// of the paper: each node triangulates its k-hop neighborhood and keeps the
-/// edges that all local witnesses agree on.
+/// edges that all local witnesses agree on. A witness needs only one bit of
+/// its own triangulation (is edge uv in it?), which `Delaunay::edgeStatus`
+/// answers with one empty-circle scan instead of a build.
 
 #include <array>
 #include <cstdint>
@@ -20,6 +22,14 @@
 
 namespace glr::geom {
 
+/// Whether a pair of points is an edge of the triangulation
+/// `Delaunay::buildInto` builds (see `Delaunay::edgeStatus`).
+enum class EdgeStatus {
+  Edge,     // in every Delaunay triangulation of the points
+  NotEdge,  // in none of them
+  Tie,      // in some: a cocircular quadruple leaves it to insertion order
+};
+
 /// Immutable Delaunay triangulation of a point set.
 class Delaunay {
  public:
@@ -30,11 +40,27 @@ class Delaunay {
   static Delaunay build(const std::vector<Point2>& points);
 
   /// build() into an existing object, reusing its storage. The GLR route
-  /// check triangulates ~10 small neighborhoods per invocation and discards
-  /// each result immediately; rebuilding into one scratch object (plus the
-  /// thread-local builder scratch inside) makes the steady-state spanner
-  /// path allocation-free. Produces exactly what build() produces.
+  /// check triangulates one small neighborhood per invocation (plus a
+  /// witness view on the rare `EdgeStatus::Tie`) and discards each result
+  /// immediately; rebuilding into one scratch object (plus the thread-local
+  /// builder scratch inside) makes the steady-state spanner path
+  /// allocation-free. Produces exactly what build() produces.
   static void buildInto(Delaunay& out, const std::vector<Point2>& points);
+
+  /// Whether buildInto(points) has an edge between the vertices at
+  /// points[a] and points[b] (after duplicate merging, so this is
+  /// `hasEdge(canonicalIndex(a), canonicalIndex(b))`), in one O(n) scan and
+  /// without triangulating. That triangulation is a Delaunay triangulation
+  /// of the points plus the bounding super-triangle's three vertices, and a
+  /// segment ab is in every such triangulation iff some circle through a and
+  /// b has every other point strictly outside (and in none iff every circle
+  /// through a and b has a point strictly inside). The scan finds the
+  /// tightest circle through a and b on each side of the line ab and
+  /// compares the two sides with the exact predicates. `Tie` means the two
+  /// sides meet on one circle: only a build can say which diagonal the
+  /// insertion order settled on.
+  [[nodiscard]] static EdgeStatus edgeStatus(std::span<const Point2> points,
+                                             int a, int b);
 
   /// CCW-oriented triangles on input points only (super vertices removed).
   [[nodiscard]] const std::vector<std::array<int, 3>>& triangles() const {

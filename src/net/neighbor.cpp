@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <stdexcept>
 
 #include "checkpoint/codec.hpp"
 #include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
+#include "graph/id_slot_index.hpp"
 
 namespace glr::net {
 
@@ -17,6 +19,18 @@ sim::EventDesc helloDesc(int self) {
   d.kind = ckpt::kHello;
   d.i0 = self;
   return d;
+}
+
+/// knowledge()'s per-thread workspace: where each id sits in the output,
+/// and the timestamp of the observation each output slot holds.
+struct KnowledgeScratch {
+  graph::IdSlotIndex slotOf;
+  std::vector<sim::SimTime> heard;  // by output slot
+};
+
+KnowledgeScratch& knowledgeScratch() {
+  static thread_local KnowledgeScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -199,29 +213,33 @@ std::optional<geom::Point2> NeighborService::neighborPosition(int id) const {
 
 std::vector<spanner::KnownNode> NeighborService::knowledge() const {
   std::vector<spanner::KnownNode> out;
-  std::unordered_map<int, std::pair<std::size_t, sim::SimTime>> best;
   // Called once per route check per node: size for one-hop entries plus a
-  // typical two-hop fan-out up front so the hot loop never rehashes.
+  // typical two-hop fan-out up front.
   out.reserve(table_.size() * 4);
-  best.reserve(table_.size() * 4);
+  KnowledgeScratch& scratch = knowledgeScratch();
+  scratch.slotOf.clear();
+  scratch.heard.clear();
+  const auto add = [&](int id, geom::Point2 pos, bool oneHop,
+                       sim::SimTime heardAt) {
+    scratch.slotOf.insert(id, static_cast<int>(out.size()));
+    scratch.heard.push_back(heardAt);
+    out.push_back({id, pos, oneHop});
+  };
 
   for (const auto& [id, rec] : table_) {
-    if (!fresh(rec)) continue;
-    best[id] = {out.size(), rec.heard};
-    out.push_back({id, rec.pos, /*oneHop=*/true});
+    if (fresh(rec)) add(id, rec.pos, /*oneHop=*/true, rec.heard);
   }
   for (const auto& [id, rec] : table_) {
     if (!fresh(rec)) continue;
     for (const auto& e : rec.reported) {
       if (e.id == self_) continue;
-      const auto it = best.find(e.id);
-      if (it == best.end()) {
-        best[e.id] = {out.size(), e.heardAt};
-        out.push_back({e.id, e.pos, /*oneHop=*/false});
-      } else if (!out[it->second.first].oneHop &&
-                 e.heardAt > it->second.second) {
-        out[it->second.first].pos = e.pos;  // fresher 2-hop observation
-        it->second.second = e.heardAt;
+      const int at = scratch.slotOf.find(e.id);
+      if (at < 0) {
+        add(e.id, e.pos, /*oneHop=*/false, e.heardAt);
+      } else if (const auto i = static_cast<std::size_t>(at);
+                 !out[i].oneHop && e.heardAt > scratch.heard[i]) {
+        out[i].pos = e.pos;  // fresher 2-hop observation
+        scratch.heard[i] = e.heardAt;
       }
     }
   }

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "geometry/delaunay.hpp"
+#include "graph/id_slot_index.hpp"
 #include "spanner/udg.hpp"
 
 namespace glr::spanner {
@@ -93,68 +91,39 @@ graph::Graph buildLdtg(const std::vector<geom::Point2>& positions,
 
 namespace {
 
-/// Reused workspace for localSpannerNeighbors: the GLR route check runs it
-/// on every check interval for every node, and the witness rule inside
-/// triangulates one small neighborhood per witness. Persisting the point
-/// buffers and the two Delaunay result objects (rebuilt in place via
-/// Delaunay::buildInto) makes the steady-state spanner path allocation-free
-/// apart from the returned neighbor list.
-/// One witness's lazily built view: the subset of the local point set it can
-/// see, that subset's triangulation, and the local-view -> witness-local
-/// index map. Pooled so steady-state route checks reuse the storage; within
-/// one check the entry is shared by every candidate edge the witness vets.
-struct WitnessEntry {
+/// One witness's view: the subset of the local point set it can see and
+/// the local-view -> witness-local index map, gathered once per call and
+/// shared by every candidate edge the witness vets. Pooled so steady-state
+/// route checks reuse the storage.
+struct WitnessView {
   std::vector<geom::Point2> pts;
   std::vector<int> localOf;  // local-view index -> witness-local; -1 absent
-  geom::Delaunay dt;
 };
 
+/// Reused workspace for localSpannerNeighbors: the GLR route check runs it
+/// on every check interval for every node. Persisting the point buffers,
+/// the witness views and the Delaunay result objects (rebuilt in place via
+/// Delaunay::buildInto) makes the steady-state spanner path allocation-free
+/// apart from the returned neighbor list.
 struct SpannerScratch {
   std::vector<int> ids;
   std::vector<geom::Point2> pts;
   std::vector<char> oneHop;
   std::vector<std::size_t> candidates;
   geom::Delaunay dt;
+  geom::Delaunay witnessDt;  // a witness view, when its edge test ties
 
-  // Per-call witness-triangulation cache: witnessSlot[wi] is the pool slot
-  // whose entry triangulates witness wi's visible set (-1 = not built yet
-  // this call). The visible set depends only on the witness, never on the
-  // candidate under test, so reuse is exact.
-  std::vector<std::unique_ptr<WitnessEntry>> witnessPool;
+  // Per-call witness-view cache: witnessSlot[wi] is the pool slot holding
+  // witness wi's visible set (-1 = not gathered yet this call). The visible
+  // set depends only on the witness, never on the candidate under test, so
+  // reuse is exact.
+  std::vector<WitnessView> witnessPool;
   std::vector<int> witnessSlot;
   std::size_t witnessUsed = 0;
 
-  // Generation-stamped dedup table indexed by (dense, non-negative) node
-  // id: seen(id) is O(1) and the per-call "clear" is one counter bump —
-  // an unordered_map here would free and reallocate one node per neighbor
-  // on every route check. Ids outside the table (negative) fall back to a
-  // linear probe of `ids`, which preserves the old map's semantics for
-  // arbitrary callers.
-  std::vector<std::uint32_t> idStamp;
-  std::uint32_t stamp = 0;
-
-  void beginDedup() {
-    if (stamp == std::numeric_limits<std::uint32_t>::max()) {
-      std::fill(idStamp.begin(), idStamp.end(), 0);
-      stamp = 0;
-    }
-    ++stamp;
-  }
-
-  /// True the first time `id` is offered since beginDedup().
-  [[nodiscard]] bool firstSeen(int id) {
-    if (id < 0) {
-      for (int known : ids) {
-        if (known == id) return false;
-      }
-      return true;
-    }
-    const auto i = static_cast<std::size_t>(id);
-    if (i >= idStamp.size()) idStamp.resize(i + 1, 0);
-    if (idStamp[i] == stamp) return false;
-    idStamp[i] = stamp;
-    return true;
-  }
+  // Local-view slot of each gathered id; dedups `known` without a per-call
+  // hash map.
+  graph::IdSlotIndex slotOf;
 };
 
 SpannerScratch& spannerScratch() {
@@ -185,6 +154,7 @@ struct SpannerMemoCache {
   std::vector<SpannerMemo> byId;  // indexed by selfId (dense, >= 0)
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t witnessBuilds = 0;
 };
 
 SpannerMemoCache& spannerMemoCache() {
@@ -215,7 +185,7 @@ SpannerMemoCache& spannerMemoCache() {
 
 SpannerCacheStats localSpannerCacheStats() {
   const SpannerMemoCache& c = spannerMemoCache();
-  return {c.hits, c.misses};
+  return {c.hits, c.misses, c.witnessBuilds};
 }
 
 void resetLocalSpannerCache() {
@@ -224,6 +194,7 @@ void resetLocalSpannerCache() {
   c.byId.shrink_to_fit();
   c.hits = 0;
   c.misses = 0;
+  c.witnessBuilds = 0;
 }
 
 std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
@@ -259,13 +230,14 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
   SpannerScratch& s = spannerScratch();
 
   // Assemble the local point set: self first, then known nodes (dedup ids).
-  s.beginDedup();
+  s.slotOf.clear();
+  s.slotOf.insert(selfId, 0);
   s.ids.assign(1, selfId);
   s.pts.assign(1, selfPos);
-  (void)s.firstSeen(selfId);
   s.oneHop.assign(1, 1);
   for (const KnownNode& kn : known) {
-    if (kn.id == selfId || !s.firstSeen(kn.id)) continue;
+    if (s.slotOf.find(kn.id) >= 0) continue;
+    s.slotOf.insert(kn.id, static_cast<int>(s.ids.size()));
     s.ids.push_back(kn.id);
     s.pts.push_back(kn.pos);
     s.oneHop.push_back(kn.oneHop ? 1 : 0);
@@ -287,6 +259,7 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
   }
 
   std::vector<int> accepted;
+  accepted.reserve(s.candidates.size());
   if (!applyWitnessRule) {
     for (std::size_t i : s.candidates) accepted.push_back(s.ids[i]);
     std::sort(accepted.begin(), accepted.end());
@@ -297,32 +270,41 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
   // Witness rule, evaluated on the knowledge this node actually has: every
   // 1-hop neighbor w that (locally) sees both self and the candidate must
   // also keep the edge in the Delaunay triangulation of w's visible
-  // neighborhood. A witness typically vets several candidate edges; its
-  // visible set (and hence its triangulation) is the same for all of them,
-  // so it is built lazily on first need and shared for the rest of the
-  // call via witnessSlot.
+  // neighborhood. Delaunay::edgeStatus answers that for the exact
+  // triangulation buildInto would make, in one scan of w's view. The view
+  // is triangulated only when the scan ties: cocircular points leave the
+  // edge to insertion order, which continuous mobility never produces.
   s.witnessSlot.assign(s.ids.size(), -1);
   s.witnessUsed = 0;
-  const auto witnessEntry = [&](std::size_t wi) -> const WitnessEntry& {
+  const auto witnessView = [&](std::size_t wi) -> const WitnessView& {
     int slot = s.witnessSlot[wi];
-    if (slot >= 0) return *s.witnessPool[static_cast<std::size_t>(slot)];
+    if (slot >= 0) return s.witnessPool[static_cast<std::size_t>(slot)];
     slot = static_cast<int>(s.witnessUsed++);
-    if (s.witnessPool.size() < s.witnessUsed) {
-      s.witnessPool.push_back(std::make_unique<WitnessEntry>());
-    }
+    if (s.witnessPool.size() < s.witnessUsed) s.witnessPool.emplace_back();
     s.witnessSlot[wi] = slot;
-    WitnessEntry& e = *s.witnessPool[static_cast<std::size_t>(slot)];
+    WitnessView& view = s.witnessPool[static_cast<std::size_t>(slot)];
     const geom::Point2 wPos = s.pts[wi];
-    e.pts.clear();
-    e.localOf.assign(s.ids.size(), -1);
+    view.pts.clear();
+    view.localOf.assign(s.ids.size(), -1);
     for (std::size_t x = 0; x < s.ids.size(); ++x) {
       if (geom::dist2(s.pts[x], wPos) <= r2) {
-        e.localOf[x] = static_cast<int>(e.pts.size());
-        e.pts.push_back(s.pts[x]);
+        view.localOf[x] = static_cast<int>(view.pts.size());
+        view.pts.push_back(s.pts[x]);
       }
     }
-    geom::Delaunay::buildInto(e.dt, e.pts);
-    return e;
+    return view;
+  };
+  const auto witnessKeeps = [&](const WitnessView& view, int selfLocal,
+                                int vLocal) {
+    const geom::EdgeStatus status =
+        geom::Delaunay::edgeStatus(view.pts, selfLocal, vLocal);
+    if (status != geom::EdgeStatus::Tie) {
+      return status == geom::EdgeStatus::Edge;
+    }
+    geom::Delaunay::buildInto(s.witnessDt, view.pts);
+    ++memoCache.witnessBuilds;
+    return s.witnessDt.hasEdge(s.witnessDt.canonicalIndex(selfLocal),
+                               s.witnessDt.canonicalIndex(vLocal));
   };
 
   for (std::size_t vi : s.candidates) {
@@ -335,12 +317,11 @@ std::vector<int> localSpannerNeighbors(int selfId, geom::Point2 selfPos,
       if (geom::dist2(wPos, selfPos) > r2 || geom::dist2(wPos, vPos) > r2) {
         continue;  // witness cannot see both endpoints
       }
-      const WitnessEntry& e = witnessEntry(wi);
-      const int selfLocal = e.localOf[0];
-      const int vLocal = e.localOf[vi];
+      const WitnessView& view = witnessView(wi);
+      const int selfLocal = view.localOf[0];
+      const int vLocal = view.localOf[vi];
       if (selfLocal >= 0 && vLocal >= 0 &&
-          !e.dt.hasEdge(e.dt.canonicalIndex(selfLocal),
-                        e.dt.canonicalIndex(vLocal))) {
+          !witnessKeeps(view, selfLocal, vLocal)) {
         vetoed = true;
       }
     }

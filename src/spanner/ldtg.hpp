@@ -60,10 +60,11 @@ struct KnownNode {
 /// in a thread-local cache keyed by computing node and guarded by an *exact*
 /// (bit-level) comparison of every input — a hit returns the previous answer
 /// only when the function would recompute it verbatim, so caching is
-/// bit-identical by construction. Within one computation, each witness's
-/// visible-set triangulation is built once and shared across all candidate
-/// edges it vets (neighborhood-signature reuse) instead of once per
-/// candidate x witness pair.
+/// bit-identical by construction. Within one computation, one Delaunay
+/// triangulation of the whole local view yields the candidate edges; each
+/// witness then vets a candidate with `geom::Delaunay::edgeStatus` on its
+/// visible set, an exact one-scan test, and triangulates that set only when
+/// the test ties (see `SpannerCacheStats::witnessBuilds`).
 [[nodiscard]] std::vector<int> localSpannerNeighbors(
     int selfId, geom::Point2 selfPos, const std::vector<KnownNode>& known,
     double radius, bool applyWitnessRule = true);
@@ -72,6 +73,9 @@ struct KnownNode {
 struct SpannerCacheStats {
   std::uint64_t hits = 0;    // answered from the memo, no geometry run
   std::uint64_t misses = 0;  // recomputed (input changed or first check)
+  /// Witness views triangulated because the one-scan edge test could not
+  /// decide (a cocircular tie).
+  std::uint64_t witnessBuilds = 0;
 };
 [[nodiscard]] SpannerCacheStats localSpannerCacheStats();
 

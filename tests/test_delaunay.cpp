@@ -1,6 +1,7 @@
 // Tests for the Bowyer–Watson Delaunay triangulation: correctness of the
 // empty-circumcircle property, degenerate inputs, duplicates, and structural
-// invariants (Euler's formula, hull edges present).
+// invariants (Euler's formula, hull edges present), and the one-scan edge
+// test (Delaunay::edgeStatus) against full builds.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@ namespace {
 
 using glr::geom::convexHull;
 using glr::geom::Delaunay;
+using glr::geom::EdgeStatus;
 using glr::geom::incircle;
 using glr::geom::orient2d;
 using glr::geom::Point2;
@@ -37,6 +39,34 @@ void expectEmptyCircumcircles(const Delaunay& dt,
           << "point " << p << " violates empty circumcircle";
     }
   }
+}
+
+/// Pairs edgeStatus decided and pairs it left as ties.
+struct EdgeStatusTally {
+  int decided = 0;
+  int ties = 0;
+};
+
+// Every pair edgeStatus decides (all ordered pairs, self-pairs and
+// duplicates included) must match the built triangulation's edge set.
+EdgeStatusTally expectEdgeStatusMatchesBuild(const std::vector<Point2>& pts) {
+  const Delaunay d = Delaunay::build(pts);
+  EdgeStatusTally tally;
+  const int n = static_cast<int>(pts.size());
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const EdgeStatus st = Delaunay::edgeStatus(pts, i, j);
+      if (st == EdgeStatus::Tie) {
+        ++tally.ties;
+        continue;
+      }
+      ++tally.decided;
+      EXPECT_EQ(st == EdgeStatus::Edge,
+                d.hasEdge(d.canonicalIndex(i), d.canonicalIndex(j)))
+          << "pair " << i << "-" << j << " of " << n << " points";
+    }
+  }
+  return tally;
 }
 
 TEST(Delaunay, EmptyAndSingle) {
@@ -166,7 +196,70 @@ TEST_P(DelaunayRandom, EmptyCircumcirclePropertyHolds) {
   EXPECT_EQ(d.edges().size(), 3 * static_cast<std::size_t>(n) - h - 3);
 }
 
+TEST_P(DelaunayRandom, EdgeStatusMatchesBuild) {
+  glr::sim::Rng rng{static_cast<std::uint64_t>(GetParam())};
+  const int n = 1 + static_cast<int>(rng.below(60));
+  // Offset from the origin like simulation coordinates, so the far super
+  // vertices and the translated predicates are exercised as in the spanner.
+  const Point2 origin{rng.uniform(0, 1500), rng.uniform(0, 300)};
+  std::vector<Point2> pts;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back({origin.x + rng.uniform(-100, 100),
+                   origin.y + rng.uniform(-100, 100)});
+  }
+  const EdgeStatusTally tally = expectEdgeStatusMatchesBuild(pts);
+  EXPECT_EQ(tally.ties, 0) << "random points are in general position";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DelaunayRandom, ::testing::Range(1, 26));
+
+TEST(Delaunay, EdgeStatusSmallAndDegenerateCases) {
+  const std::vector<Point2> one{{1, 2}};
+  EXPECT_EQ(Delaunay::edgeStatus(one, 0, 0), EdgeStatus::NotEdge);
+  const std::vector<Point2> two{{0, 0}, {3, 4}, {0, 0}};
+  EXPECT_EQ(Delaunay::edgeStatus(two, 0, 1), EdgeStatus::Edge);
+  EXPECT_EQ(Delaunay::edgeStatus(two, 2, 1), EdgeStatus::Edge);
+  EXPECT_EQ(Delaunay::edgeStatus(two, 0, 2), EdgeStatus::NotEdge);
+  // A point on the open segment blocks the edge; one beyond it does not.
+  const std::vector<Point2> line{{0, 0}, {2, 0}, {1, 0}, {5, 0}};
+  EXPECT_EQ(Delaunay::edgeStatus(line, 0, 1), EdgeStatus::NotEdge);
+  EXPECT_EQ(Delaunay::edgeStatus(line, 0, 2), EdgeStatus::Edge);
+  EXPECT_EQ(Delaunay::edgeStatus(line, 1, 3), EdgeStatus::Edge);
+  // Both diagonals of a square are ties; its sides are edges.
+  const std::vector<Point2> square{{0, 0}, {1, 0}, {1, 1}, {0, 1}};
+  EXPECT_EQ(Delaunay::edgeStatus(square, 0, 2), EdgeStatus::Tie);
+  EXPECT_EQ(Delaunay::edgeStatus(square, 1, 3), EdgeStatus::Tie);
+  EXPECT_EQ(Delaunay::edgeStatus(square, 0, 1), EdgeStatus::Edge);
+  // A very flat hull triangle: the circle through its long side and apex
+  // swallows a super vertex, so buildInto has no edge 0-1 although the
+  // Delaunay triangulation of the three points alone would.
+  const std::vector<Point2> flat{{0, 0}, {2, 0}, {1, 1e-9}};
+  EXPECT_EQ(Delaunay::edgeStatus(flat, 0, 1), EdgeStatus::NotEdge);
+  EXPECT_EQ(Delaunay::edgeStatus(flat, 0, 2), EdgeStatus::Edge);
+  expectEdgeStatusMatchesBuild(line);
+  expectEdgeStatusMatchesBuild(square);
+  expectEdgeStatusMatchesBuild(flat);
+}
+
+TEST(Delaunay, EdgeStatusMatchesBuildOnIntegerGrids) {
+  // Small integer grids are full of cocircular quadruples, collinear
+  // triples and (drawn with replacement) duplicate positions.
+  glr::sim::Rng rng{17};
+  EdgeStatusTally total;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = 3 + static_cast<int>(rng.below(14));
+    std::vector<Point2> pts;
+    for (int i = 0; i < n; ++i) {
+      pts.push_back({static_cast<double>(rng.below(5)),
+                     static_cast<double>(rng.below(5))});
+    }
+    const EdgeStatusTally tally = expectEdgeStatusMatchesBuild(pts);
+    total.decided += tally.decided;
+    total.ties += tally.ties;
+  }
+  EXPECT_GT(total.ties, 0);
+  EXPECT_GT(total.decided, 10 * total.ties);
+}
 
 TEST(Delaunay, ClusteredPointsStressFilter) {
   // Tight clusters + far satellites stress the incircle filter.
@@ -182,6 +275,7 @@ TEST(Delaunay, ClusteredPointsStressFilter) {
   }
   const Delaunay d = Delaunay::build(pts);
   expectEmptyCircumcircles(d, pts);
+  expectEdgeStatusMatchesBuild(pts);
 }
 
 TEST(ConvexHull, KnownSquare) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/id_slot_index.hpp"
 #include "geometry/point.hpp"
 
 namespace {
@@ -17,6 +18,7 @@ using glr::graph::connectedComponents;
 using glr::graph::dijkstra;
 using glr::graph::DisjointSet;
 using glr::graph::Graph;
+using glr::graph::IdSlotIndex;
 using glr::graph::isConnected;
 using glr::graph::isPlanarEmbedding;
 using glr::graph::kInfDist;
@@ -171,6 +173,25 @@ TEST(DisjointSet, UniteAndFind) {
   EXPECT_TRUE(ds.unite(1, 3));
   EXPECT_EQ(ds.find(0), ds.find(2));
   EXPECT_EQ(ds.setCount(), 2u);
+}
+
+TEST(IdSlotIndex, FindsInsertedIdsUntilCleared) {
+  IdSlotIndex index;
+  EXPECT_EQ(index.find(3), -1);  // a new index is empty
+  index.insert(3, 0);
+  index.insert(40, 1);
+  index.insert(-2, 2);
+  EXPECT_EQ(index.find(3), 0);
+  EXPECT_EQ(index.find(40), 1);
+  EXPECT_EQ(index.find(-2), 2);
+  EXPECT_EQ(index.find(4), -1);
+  EXPECT_EQ(index.find(1000), -1);
+  EXPECT_EQ(index.find(-1), -1);
+  index.clear();
+  for (int id : {3, 40, -2}) EXPECT_EQ(index.find(id), -1) << id;
+  index.insert(40, 7);
+  EXPECT_EQ(index.find(40), 7);
+  EXPECT_EQ(index.find(3), -1);
 }
 
 }  // namespace

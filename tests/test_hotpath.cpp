@@ -1,11 +1,13 @@
 // Hot-path guarantees: the epoch position cache is bit-identical to asking
 // the mobility models directly (for every registered model, under repeated
-// same-time queries and radio churn), and the steady-state beaconing / MAC /
-// channel path performs zero heap allocations (counted by overriding the
-// global allocator in this binary).
+// same-time queries and radio churn), the steady-state beaconing / MAC /
+// channel path performs zero heap allocations, and a warm GLR route check
+// allocates only the vectors it returns (counted by overriding the global
+// allocator in this binary).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 #include "phy/propagation.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "spanner/ldtg.hpp"
 
 namespace {
 
@@ -115,6 +118,7 @@ class BeaconAgent final : public glr::net::Agent {
   void onPacket(const Packet& p, int from) override {
     service_.handlePacket(p, from);
   }
+  [[nodiscard]] const NeighborService& service() const { return service_; }
 
  private:
   NeighborService service_;
@@ -155,6 +159,75 @@ TEST(ZeroAllocSteadyState, BeaconingMacChannelPathDoesNotTouchTheAllocator) {
       << "steady-state beaconing allocated " << delta
       << " times in 30 sim-seconds; the hello/MAC/channel hot path must be "
          "allocation-free (payload arenas, ring deques, epoch cache)";
+}
+
+/// The GLR route check (GlrAgent::checkRoutes) is knowledge() followed by
+/// localSpannerNeighbors. On warm scratch each allocates at most one block
+/// per call, the vector it returns, even when every call misses the spanner
+/// memo: the views are jittered between two offsets so that no call repeats
+/// the previous input bit for bit, as moving nodes never do.
+TEST(ZeroAllocSteadyState, RouteCheckAllocatesOnlyItsResults) {
+  Simulator sim;
+  sim.reserve(1024);
+  TwoRayGround model;
+  RadioParams radio;
+  radio.nominalRange = 250.0;
+  World world{sim, model, radio, MacParams{}};
+
+  constexpr int kNodes = 20;
+  Rng placement{77};
+  for (int i = 0; i < kNodes; ++i) {
+    world.addNode(std::make_unique<glr::mobility::StaticMobility>(Point2{
+                      placement.uniform(0.0, 700.0),
+                      placement.uniform(0.0, 300.0)}),
+                  Rng{300 + static_cast<std::uint64_t>(i)});
+  }
+  NeighborService::Params params;
+  params.helloInterval = 0.25;
+  params.expiry = 0.75;
+  std::vector<const BeaconAgent*> agents;
+  for (int i = 0; i < kNodes; ++i) {
+    auto agent = std::make_unique<BeaconAgent>(world, i, params);
+    agents.push_back(agent.get());
+    world.setAgent(i, std::move(agent));
+  }
+  world.start();
+  sim.run(10.0);  // tables full; the world is static from here on
+  glr::spanner::resetLocalSpannerCache();
+
+  long long calls = 0;
+  long long worstKnowledge = 0;
+  long long worstSpanner = 0;
+  std::size_t accepted = 0;
+  for (int round = 0; round < 40; ++round) {
+    const bool measured = round >= 10;  // the first rounds warm the scratch
+    const double jitter = round % 2 == 0 ? 1e-6 : -1e-6;
+    for (int i = 0; i < kNodes; ++i) {
+      const long long k0 = allocCount();
+      auto known = agents[static_cast<std::size_t>(i)]->service().knowledge();
+      const long long k1 = allocCount();
+      for (glr::spanner::KnownNode& kn : known) {
+        kn.pos.x += jitter;
+        kn.pos.y -= jitter;
+      }
+      const auto nbrs = glr::spanner::localSpannerNeighbors(
+          i, world.positionOf(i), known, radio.nominalRange);
+      const long long k2 = allocCount();
+      if (!measured) continue;
+      ++calls;
+      worstKnowledge = std::max(worstKnowledge, k1 - k0);
+      worstSpanner = std::max(worstSpanner, k2 - k1);
+      accepted += nbrs.size();
+    }
+  }
+  EXPECT_GT(accepted, 0u) << "the views must select spanner neighbors";
+  EXPECT_EQ(glr::spanner::localSpannerCacheStats().hits, 0u)
+      << "jittered views must miss the memo";
+  EXPECT_LE(worstKnowledge, 1)
+      << "knowledge() allocated beyond its returned vector";
+  EXPECT_LE(worstSpanner, 1)
+      << "localSpannerNeighbors allocated beyond its returned vector over "
+      << calls << " memo-missing calls";
 }
 
 /// The golden mid-size GLR scenario still runs correctly in this binary

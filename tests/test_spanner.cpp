@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -21,7 +22,9 @@
 
 namespace {
 
+using glr::geom::Delaunay;
 using glr::geom::dist;
+using glr::geom::dist2;
 using glr::geom::Point2;
 using glr::graph::componentCount;
 using glr::graph::connectedComponents;
@@ -34,7 +37,9 @@ using glr::spanner::isLikelyConnected;
 using glr::spanner::kHopNeighbors;
 using glr::spanner::KnownNode;
 using glr::spanner::LdtgRule;
+using glr::spanner::localSpannerCacheStats;
 using glr::spanner::localSpannerNeighbors;
+using glr::spanner::resetLocalSpannerCache;
 
 std::vector<Point2> randomPoints(std::uint64_t seed, int n, double w,
                                  double h) {
@@ -341,6 +346,118 @@ TEST(LocalSpanner, LocalViewIsPlanar) {
     }
   }
   EXPECT_TRUE(isPlanarEmbedding(combined, pts));
+}
+
+/// The witness rule written the direct way: one full Delaunay build of a
+/// witness's visible set for every (candidate, witness) pair.
+/// localSpannerNeighbors must select exactly the same neighbors.
+std::vector<int> referenceWitnessNeighbors(int selfId, Point2 selfPos,
+                                           const std::vector<KnownNode>& known,
+                                           double r) {
+  std::vector<int> ids{selfId};
+  std::vector<Point2> pts{selfPos};
+  std::vector<bool> oneHop{true};
+  for (const KnownNode& kn : known) {
+    if (std::find(ids.begin(), ids.end(), kn.id) != ids.end()) continue;
+    ids.push_back(kn.id);
+    pts.push_back(kn.pos);
+    oneHop.push_back(kn.oneHop);
+  }
+  if (ids.size() < 2) return {};
+  const double r2 = r * r;
+  const Delaunay dt = Delaunay::build(pts);
+  std::vector<int> out;
+  for (const int v : dt.neighborsOf(dt.canonicalIndex(0))) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (vi == 0 || !oneHop[vi] || dist2(selfPos, pts[vi]) > r2) continue;
+    bool vetoed = false;
+    for (std::size_t wi = 1; wi < ids.size() && !vetoed; ++wi) {
+      if (wi == vi || !oneHop[wi]) continue;
+      if (dist2(pts[wi], selfPos) > r2 || dist2(pts[wi], pts[vi]) > r2) {
+        continue;
+      }
+      std::vector<Point2> view;
+      int selfLocal = -1;
+      int vLocal = -1;
+      for (std::size_t x = 0; x < ids.size(); ++x) {
+        if (dist2(pts[x], pts[wi]) > r2) continue;
+        if (x == 0) selfLocal = static_cast<int>(view.size());
+        if (x == vi) vLocal = static_cast<int>(view.size());
+        view.push_back(pts[x]);
+      }
+      const Delaunay wdt = Delaunay::build(view);
+      vetoed = !wdt.hasEdge(wdt.canonicalIndex(selfLocal),
+                            wdt.canonicalIndex(vLocal));
+    }
+    if (!vetoed) out.push_back(ids[vi]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every node's 2-hop view of `pts`, compared with the reference. Two-hop
+/// positions are shifted by up to `stale` metres, as stale beacon reports
+/// are. Returns the number of views compared.
+int expectMatchesReference(const std::vector<Point2>& pts, double r,
+                           double stale, glr::sim::Rng& rng) {
+  const Graph udg = buildUnitDiskGraph(pts, r);
+  int views = 0;
+  for (int u = 0; u < static_cast<int>(pts.size()); ++u) {
+    std::vector<KnownNode> known;
+    for (int v : kHopNeighbors(udg, u, 2)) {
+      const bool oneHop = udg.hasEdge(u, v);
+      Point2 pos = pts[v];
+      if (!oneHop && stale > 0.0) {
+        pos.x += rng.uniform(-stale, stale);
+        pos.y += rng.uniform(-stale, stale);
+      }
+      known.push_back({v, pos, oneHop});
+    }
+    EXPECT_EQ(localSpannerNeighbors(u, pts[u], known, r, true),
+              referenceWitnessNeighbors(u, pts[u], known, r))
+        << "node " << u;
+    ++views;
+  }
+  return views;
+}
+
+TEST(LocalSpanner, WitnessRuleMatchesPerWitnessBuildsOnRandomViews) {
+  resetLocalSpannerCache();
+  glr::sim::Rng rng{41};
+  int views = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    views += expectMatchesReference(randomPoints(seed, 40, 600, 300), 100.0,
+                                    seed % 2 == 0 ? 5.0 : 0.0, rng);
+  }
+  EXPECT_EQ(views, 30 * 40);
+  // General position: the one-scan edge test decides every witness.
+  EXPECT_EQ(localSpannerCacheStats().witnessBuilds, 0u);
+}
+
+TEST(LocalSpanner, WitnessRuleMatchesPerWitnessBuildsOnIntegerGrids) {
+  // Points on a 10 m integer grid: cocircular quadruples and collinear
+  // triples everywhere. The first half draws distinct grid points, the
+  // second half draws with replacement (duplicate positions as well).
+  glr::sim::Rng rng{43};
+  for (const bool withReplacement : {false, true}) {
+    resetLocalSpannerCache();
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<Point2> cells;
+      for (int x = 0; x < 7; ++x) {
+        for (int y = 0; y < 5; ++y) cells.push_back({10.0 * x, 10.0 * y});
+      }
+      std::vector<Point2> pts;
+      for (int i = 0; i < 24; ++i) {
+        const auto pick = static_cast<std::size_t>(rng.below(cells.size()));
+        pts.push_back(cells[pick]);
+        if (!withReplacement) cells.erase(cells.begin() + pick);
+      }
+      expectMatchesReference(pts, 25.0, 0.0, rng);
+    }
+    // The grids must actually reach the build fallback on a Tie.
+    EXPECT_GT(localSpannerCacheStats().witnessBuilds, 0u)
+        << (withReplacement ? "with replacement" : "distinct points");
+  }
 }
 
 }  // namespace
