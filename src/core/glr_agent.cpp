@@ -25,6 +25,23 @@ sim::EventDesc glrDesc(ckpt::EventKind kind, int self) {
   return d;
 }
 
+/// checkRoutes()'s per-thread workspace: every buffer keeps its capacity
+/// across checks, so a warm check allocates only the vectors knowledge()
+/// and localSpannerNeighbors return. Per thread, not per agent, because
+/// one check runs at a time on a thread (a check never runs another
+/// agent's check: sends are queued events), and one set of buffers per
+/// thread costs less memory than one per node.
+struct RouteCheckScratch {
+  std::vector<std::pair<int, geom::Point2>> spannerNbrs;
+  std::vector<dtn::CopyKey> keys;
+  std::vector<ProgressNeighbor> candidates;
+};
+
+RouteCheckScratch& routeCheckScratch() {
+  static thread_local RouteCheckScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 GlrAgent::GlrAgent(net::World& world, int self, GlrParams params,
@@ -203,8 +220,9 @@ void GlrAgent::checkRoutes() {
   const auto knowledge = neighbors_.knowledge();
   const auto spannerIds = spanner::localSpannerNeighbors(
       self_, self, knowledge, params_->network.radius, params_->witnessRule);
-  std::vector<std::pair<int, geom::Point2>> spannerNbrs;
-  spannerNbrs.reserve(spannerIds.size());
+  RouteCheckScratch& scratch = routeCheckScratch();
+  auto& spannerNbrs = scratch.spannerNbrs;
+  spannerNbrs.clear();
   const double sendRange = params_->sendRangeGuard * params_->network.radius;
   for (const int id : spannerIds) {
     // Reroute-avoiding-suspects: a hop under an active suspect verdict is
@@ -223,7 +241,8 @@ void GlrAgent::checkRoutes() {
   }
 
   int sendBudget = params_->maxSendsPerCheck;
-  for (const dtn::CopyKey& key : buffer_.storeKeys()) {
+  buffer_.storeKeys(scratch.keys);
+  for (const dtn::CopyKey& key : scratch.keys) {
     if (sendBudget <= 0) break;  // remaining copies wait for the next check
     dtn::Message* m = buffer_.findInStore(key);
     if (m == nullptr) continue;  // evicted or sent meanwhile
@@ -256,7 +275,7 @@ void GlrAgent::checkRoutes() {
       continue;
     }
 
-    const auto candidates = progressNeighbors(self, destPos, spannerNbrs);
+    progressNeighbors(self, destPos, spannerNbrs, scratch.candidates);
 
     // Face-mode exit: we are closer to the destination than where the copy
     // entered the face (standard perimeter-mode recovery rule).
@@ -286,7 +305,7 @@ void GlrAgent::checkRoutes() {
     };
 
     if (!m->faceMode) {
-      if (const auto next = selectNextHop(m->flag, candidates);
+      if (const auto next = selectNextHop(m->flag, scratch.candidates);
           next.has_value()) {
         m->stuckCount = 0;
         m->retryBackoff = 1;

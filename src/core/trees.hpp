@@ -28,12 +28,14 @@ struct ProgressNeighbor {
   double distToDest = 0.0;
 };
 
-/// Neighbors of a node at `selfPos` that are strictly closer to `destPos`
-/// than the node itself, sorted by ascending distance-to-destination
-/// (i.e. descending progress).
-[[nodiscard]] std::vector<ProgressNeighbor> progressNeighbors(
+/// Fills `out` with the neighbors of a node at `selfPos` that are strictly
+/// closer to `destPos` than the node itself, sorted by ascending
+/// distance-to-destination (i.e. descending progress). `out` is the
+/// caller's buffer, cleared first, so a reused one keeps its capacity.
+void progressNeighbors(
     geom::Point2 selfPos, geom::Point2 destPos,
-    const std::vector<std::pair<int, geom::Point2>>& neighbors);
+    const std::vector<std::pair<int, geom::Point2>>& neighbors,
+    std::vector<ProgressNeighbor>& out);
 
 /// Picks the next hop for a tree kind from sorted progress candidates.
 /// kMax -> most progress (front), kMin -> least progress (back),

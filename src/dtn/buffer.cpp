@@ -184,11 +184,10 @@ void MessageBuffer::forEachInStore(
   for (Message& m : store_) fn(m);
 }
 
-std::vector<CopyKey> MessageBuffer::storeKeys() const {
-  std::vector<CopyKey> out;
+void MessageBuffer::storeKeys(std::vector<CopyKey>& out) const {
+  out.clear();
   out.reserve(store_.size());
   for (const Message& m : store_) out.push_back(m.key());
-  return out;
 }
 
 std::optional<sim::SimTime> MessageBuffer::cacheEntrySentAt(

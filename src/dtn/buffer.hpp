@@ -98,9 +98,10 @@ class MessageBuffer {
   /// a new contact appears).
   void forEachInStore(const std::function<void(Message&)>& fn);
 
-  /// Stable snapshot of Store keys, FIFO order (safe to mutate while
-  /// iterating the snapshot).
-  [[nodiscard]] std::vector<CopyKey> storeKeys() const;
+  /// Fills `out` with a stable snapshot of the Store keys, FIFO order (safe
+  /// to mutate the buffer while iterating the snapshot). `out` is the
+  /// caller's buffer, cleared first, so a reused one keeps its capacity.
+  void storeKeys(std::vector<CopyKey>& out) const;
 
   /// Cached copies sent before `before` (custody reschedule candidates).
   [[nodiscard]] std::vector<CopyKey> cachedSentBefore(sim::SimTime before) const;

@@ -14,46 +14,76 @@ namespace {
 
 constexpr int kNone = -1;
 
-/// Mutable triangle soup used during construction.
+/// Bounding super-triangle of `points` (n >= 1), far enough away to act as
+/// "infinity". buildInto inserts it as three real vertices, so edgeStatus
+/// must see the very same three points.
+std::array<Point2, 3> superTriangle(std::span<const Point2> points) {
+  double minX = points[0].x, maxX = minX;
+  double minY = points[0].y, maxY = minY;
+  for (const Point2 p : points.subspan(1)) {
+    minX = std::min(minX, p.x);
+    maxX = std::max(maxX, p.x);
+    minY = std::min(minY, p.y);
+    maxY = std::max(maxY, p.y);
+  }
+  const double cx = (minX + maxX) / 2.0;
+  const double cy = (minY + maxY) / 2.0;
+  const double extent = std::max({maxX - minX, maxY - minY, 1.0});
+  const double m = 1e6 * extent;
+  return {{{cx - 2.0 * m, cy - m}, {cx + 2.0 * m, cy - m}, {cx, cy + 2.0 * m}}};
+}
+
+/// Triangle under construction.
 struct Tri {
   std::array<int, 3> v{kNone, kNone, kNone};    // CCW vertices
   std::array<int, 3> nbr{kNone, kNone, kNone};  // nbr[i] is across edge opposite v[i]
-  bool alive = false;
 };
 
 /// Construction workspace. One instance lives per thread and is reused by
-/// every build (the GLR route check triangulates hundreds of thousands of
-/// small neighborhoods per run): all vectors keep their capacity across
-/// builds, and the cavity membership flags are generation-stamped so they
-/// need no clearing. The flat boundary/fan scratch replaces the per-insert
-/// std::map edge-stitching of the original Bowyer–Watson loop — boundary
-/// cycles are a handful of edges, where a linear scan beats a red-black
-/// tree and allocates nothing.
+/// every build (the GLR route check triangulates one small neighborhood per
+/// check, hundreds of thousands per run): all vectors keep their capacity
+/// across builds, and the cavity membership flags are generation-stamped so
+/// they need no clearing.
+///
+/// Every triangle slot is live. An insertion deletes a cavity of c
+/// triangles and creates a fan of c + 2 (the cavity is a disk whose every
+/// vertex lies on its boundary), so the fan takes over the cavity's slots
+/// and appends two. A build of n unique points ends with exactly 2n + 1
+/// slots, which sizes the cavity stamps once per build.
 struct Builder {
   std::vector<Point2> pts;  // input points + 3 super vertices
   std::vector<Tri> tris;
-  int lastAlive = kNone;  // walk start hint
+  int last = 0;  // walk start: a fan triangle of the latest insertion
 
   // insert() scratch.
   std::vector<int> cavity;
   std::vector<int> stack;
-  std::vector<std::uint32_t> cavityStamp;  // == stamp -> tri is in cavity
+  std::vector<std::uint32_t> cavityStamp;  // by slot; == stamp -> in cavity
   std::uint32_t stamp = 0;
   struct BoundaryEdge {
-    int a, b;      // directed so the cavity interior is to the left
-    int outside;   // triangle index across the edge, or kNone
-    int tri;       // fan triangle created over this edge
+    int a, b;         // directed so the cavity interior is to the left
+    int outside;      // triangle index across the edge, or kNone
+    int outsideEdge;  // the edge's index within `outside`
+    int tri;          // fan triangle created over this edge
   };
   std::vector<BoundaryEdge> boundary;
+  std::vector<int> fanFrom;  // by vertex: fan triangle whose edge starts there
 
   // build() scratch.
   std::vector<int> sortIdx;
-  std::vector<std::pair<int, int>> edgeScratch;
+  std::vector<std::pair<int, int>> edgeList;  // each real edge once
 
+  /// Starts a build of `points`: the one triangle is the super-triangle,
+  /// whose vertices follow the input points.
   void reset(const std::vector<Point2>& points) {
+    const std::size_t n = points.size();
+    const int s0 = static_cast<int>(n);
     pts.assign(points.begin(), points.end());
-    tris.clear();
-    lastAlive = kNone;
+    for (const Point2 p : superTriangle(points)) pts.push_back(p);
+    tris.assign(1, {{s0, s0 + 1, s0 + 2}, {kNone, kNone, kNone}});
+    last = 0;
+    if (cavityStamp.size() < 2 * n + 1) cavityStamp.resize(2 * n + 1, 0);
+    if (fanFrom.size() < n + 3) fanFrom.resize(n + 3);
   }
 
   [[nodiscard]] bool inCavity(int t) const {
@@ -78,16 +108,7 @@ struct Builder {
   /// Visibility walk from the hint triangle; guaranteed to terminate on a
   /// Delaunay triangulation.
   [[nodiscard]] int locate(Point2 p) const {
-    int t = lastAlive;
-    if (t == kNone || !tris[t].alive) {
-      for (std::size_t i = 0; i < tris.size(); ++i) {
-        if (tris[i].alive) {
-          t = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    if (t == kNone) throw std::logic_error{"Delaunay::locate: no triangles"};
+    int t = last;
     for (std::size_t guard = 0; guard <= 4 * tris.size() + 16; ++guard) {
       int exitEdge = kNone;
       if (inTriangle(t, p, exitEdge)) return t;
@@ -106,14 +127,6 @@ struct Builder {
     return incircle(pts[tr.v[0]], pts[tr.v[1]], pts[tr.v[2]], p) > 0.0;
   }
 
-  int newTriangle(int a, int b, int c) {
-    Tri tr;
-    tr.v = {a, b, c};
-    tr.alive = true;
-    tris.push_back(tr);
-    return static_cast<int>(tris.size() - 1);
-  }
-
   void insert(int pi) {
     const Point2 p = pts[pi];
     const int seed = locate(p);
@@ -127,7 +140,6 @@ struct Builder {
       stamp = 0;
     }
     ++stamp;
-    cavityStamp.resize(tris.size(), 0);
     cavity.clear();
     stack.clear();
     stack.push_back(seed);
@@ -146,69 +158,53 @@ struct Builder {
       }
     }
 
-    // Boundary edges of the cavity, each with its outside neighbor.
+    // Boundary edges of the cavity, each with its outside neighbor and the
+    // outside neighbor's back edge. Both are read before any fan triangle
+    // overwrites a cavity slot.
     boundary.clear();
     for (int t : cavity) {
       for (int e = 0; e < 3; ++e) {
         const int n = tris[t].nbr[e];
         if (n != kNone && inCavity(n)) continue;
-        boundary.push_back(
-            {tris[t].v[(e + 1) % 3], tris[t].v[(e + 2) % 3], n, kNone});
-      }
-    }
-    for (int t : cavity) tris[t].alive = false;
-
-    // Fan of new triangles from p to each boundary edge. Triangle verts are
-    // {pi, a, b}: nbr[0] spans the boundary edge (a, b), nbr[1] the edge
-    // (b, pi), nbr[2] the edge (pi, a).
-    for (BoundaryEdge& be : boundary) {
-      const int t = newTriangle(pi, be.a, be.b);
-      be.tri = t;
-      tris[t].nbr[0] = be.outside;
-      if (be.outside != kNone) {
-        for (int e = 0; e < 3; ++e) {
-          const Tri& out = tris[be.outside];
-          if (out.v[(e + 1) % 3] == be.b && out.v[(e + 2) % 3] == be.a) {
-            tris[be.outside].nbr[e] = t;
-            break;
-          }
+        int back = kNone;
+        if (n != kNone) {
+          const Tri& out = tris[n];
+          back = out.nbr[0] == t ? 0 : out.nbr[1] == t ? 1 : 2;
         }
+        boundary.push_back(
+            {tris[t].v[(e + 1) % 3], tris[t].v[(e + 2) % 3], n, back, kNone});
       }
     }
-    // Stitch fan triangles to each other across shared (pi, x) edges: the
-    // neighbor across (pi, a) is the fan triangle whose boundary edge ends
-    // at a (b == a), and across (b, pi) the one whose edge starts at b.
-    // The boundary cycle is a handful of edges, so the linear probe is
-    // cheaper than the edge map it replaces — and each directed edge has at
-    // most one reverse, so the wiring is the same.
+
+    // Fan of new triangles from p to each boundary edge, in the cavity's
+    // slots first. Triangle verts are {pi, a, b}: nbr[0] spans the boundary
+    // edge (a, b), nbr[1] the edge (b, pi), nbr[2] the edge (pi, a).
+    for (std::size_t i = 0; i < boundary.size(); ++i) {
+      BoundaryEdge& be = boundary[i];
+      if (i < cavity.size()) {
+        be.tri = cavity[i];
+      } else {
+        be.tri = static_cast<int>(tris.size());
+        tris.emplace_back();
+      }
+      Tri& tr = tris[be.tri];
+      tr.v = {pi, be.a, be.b};
+      tr.nbr[0] = be.outside;
+      if (be.outside != kNone) tris[be.outside].nbr[be.outsideEdge] = be.tri;
+      fanFrom[static_cast<std::size_t>(be.a)] = be.tri;
+    }
+    // Stitch the fan across its shared (pi, x) edges. The boundary is one
+    // cycle, so exactly one fan triangle's edge starts at each boundary
+    // vertex: across (b, pi) lies the one whose edge starts at b, and that
+    // triangle's (pi, b) edge faces back.
     for (const BoundaryEdge& be : boundary) {
-      for (const BoundaryEdge& other : boundary) {
-        if (other.b == be.a) tris[be.tri].nbr[2] = other.tri;
-        if (other.a == be.b) tris[be.tri].nbr[1] = other.tri;
-      }
+      const int next = fanFrom[static_cast<std::size_t>(be.b)];
+      tris[be.tri].nbr[1] = next;
+      tris[next].nbr[2] = be.tri;
     }
-    lastAlive = boundary.empty() ? kNone : boundary.back().tri;
+    last = boundary.back().tri;
   }
 };
-
-/// Bounding super-triangle of `points` (n >= 1), far enough away to act as
-/// "infinity". buildInto inserts it as three real vertices, so edgeStatus
-/// must see the very same three points.
-std::array<Point2, 3> superTriangle(std::span<const Point2> points) {
-  double minX = points[0].x, maxX = minX;
-  double minY = points[0].y, maxY = minY;
-  for (const Point2 p : points.subspan(1)) {
-    minX = std::min(minX, p.x);
-    maxX = std::max(maxX, p.x);
-    minY = std::min(minY, p.y);
-    maxY = std::max(maxY, p.y);
-  }
-  const double cx = (minX + maxX) / 2.0;
-  const double cy = (minY + maxY) / 2.0;
-  const double extent = std::max({maxX - minX, maxY - minY, 1.0});
-  const double m = 1e6 * extent;
-  return {{{cx - 2.0 * m, cy - m}, {cx + 2.0 * m, cy - m}, {cx, cy + 2.0 * m}}};
-}
 
 /// Per-thread construction scratch (scenarios never share a thread
 /// mid-build; the sweep engine runs whole scenarios per worker).
@@ -277,13 +273,10 @@ void Delaunay::buildInto(Delaunay& result, const std::vector<Point2>& points) {
     return;
   }
 
-  b.reset(points);
-
   // Duplicates never move the bounding box, so all points give the same
   // super-triangle as the unique ones.
+  b.reset(points);
   const int s0 = static_cast<int>(n);
-  for (const Point2 p : superTriangle(points)) b.pts.push_back(p);
-  b.lastAlive = b.newTriangle(s0, s0 + 1, s0 + 2);
 
   // Insert unique points in original input order (the order affects which
   // of several valid triangulations degenerate cocircular sets settle on,
@@ -294,48 +287,52 @@ void Delaunay::buildInto(Delaunay& result, const std::vector<Point2>& points) {
     }
   }
 
-  // Extract real triangles and edges (those not touching super vertices).
-  b.edgeScratch.clear();
-  for (const Tri& t : b.tris) {
-    if (!t.alive) continue;
-    if (t.v[0] < s0 && t.v[1] < s0 && t.v[2] < s0) {
-      result.realTriangles_.push_back(t.v);
+  // Real triangles and edges (those not touching super vertices). An edge
+  // between two triangles is taken from the lower slot only; an edge with
+  // no triangle across it lies on the super-triangle's hull.
+  b.edgeList.clear();
+  for (std::size_t t = 0; t < b.tris.size(); ++t) {
+    const Tri& tr = b.tris[t];
+    if (tr.v[0] < s0 && tr.v[1] < s0 && tr.v[2] < s0) {
+      result.realTriangles_.push_back(tr.v);
     }
     for (int e = 0; e < 3; ++e) {
-      const int u = t.v[(e + 1) % 3];
-      const int v = t.v[(e + 2) % 3];
-      if (u < s0 && v < s0) {
-        b.edgeScratch.emplace_back(std::min(u, v), std::max(u, v));
+      const int u = tr.v[(e + 1) % 3];
+      const int v = tr.v[(e + 2) % 3];
+      const int across = tr.nbr[e];
+      if (u >= s0 || v >= s0 ||
+          (across != kNone && static_cast<std::size_t>(across) < t)) {
+        continue;
       }
+      b.edgeList.emplace_back(u, v);
+      ++result.adjOff_[static_cast<std::size_t>(u) + 1];
+      ++result.adjOff_[static_cast<std::size_t>(v) + 1];
     }
   }
-  std::sort(b.edgeScratch.begin(), b.edgeScratch.end());
-  b.edgeScratch.erase(
-      std::unique(b.edgeScratch.begin(), b.edgeScratch.end()),
-      b.edgeScratch.end());
-  result.realEdges_.assign(b.edgeScratch.begin(), b.edgeScratch.end());
 
-  // CSR adjacency. Appending both directions in lexicographic edge order
-  // fills every vertex's slice in ascending order ((a, v) edges with a < v
-  // sort before every (v, b) edge), so no per-slice sort is needed.
-  for (const auto& [u, v] : result.realEdges_) {
-    ++result.adjOff_[static_cast<std::size_t>(u) + 1];
-    ++result.adjOff_[static_cast<std::size_t>(v) + 1];
-  }
+  // CSR adjacency, each slice sorted ascending (a handful of entries), and
+  // the lexicographic edge list read off the slices.
   for (std::size_t v = 0; v < n; ++v) {
     result.adjOff_[v + 1] += result.adjOff_[v];
   }
   result.adjFlat_.resize(result.adjOff_[n]);
-  {
-    // Reuse sortIdx as the per-vertex fill cursor.
-    b.sortIdx.assign(n, 0);
-    for (const auto& [u, v] : result.realEdges_) {
-      const auto su = static_cast<std::size_t>(u);
-      const auto sv = static_cast<std::size_t>(v);
-      result.adjFlat_[result.adjOff_[su] +
-                      static_cast<std::uint32_t>(b.sortIdx[su]++)] = v;
-      result.adjFlat_[result.adjOff_[sv] +
-                      static_cast<std::uint32_t>(b.sortIdx[sv]++)] = u;
+  // Reuse sortIdx as the per-vertex fill cursor.
+  b.sortIdx.assign(n, 0);
+  for (const auto& [u, v] : b.edgeList) {
+    const auto su = static_cast<std::size_t>(u);
+    const auto sv = static_cast<std::size_t>(v);
+    result.adjFlat_[result.adjOff_[su] +
+                    static_cast<std::uint32_t>(b.sortIdx[su]++)] = v;
+    result.adjFlat_[result.adjOff_[sv] +
+                    static_cast<std::uint32_t>(b.sortIdx[sv]++)] = u;
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto first = result.adjFlat_.begin() + result.adjOff_[u];
+    const auto end = result.adjFlat_.begin() + result.adjOff_[u + 1];
+    std::sort(first, end);
+    for (auto it = std::upper_bound(first, end, static_cast<int>(u));
+         it != end; ++it) {
+      result.realEdges_.emplace_back(static_cast<int>(u), *it);
     }
   }
 }

@@ -5,6 +5,10 @@
 /// Built on the exact predicates in predicates.hpp, so degenerate inputs
 /// (collinear subsets, cocircular quadruples, duplicate points) are handled
 /// deterministically. Duplicates are merged onto their first occurrence.
+/// The builder keeps no dead triangles (each fan reuses its cavity's slots),
+/// stitches each fan through per-vertex slots, and emits every edge once
+/// into the CSR adjacency, so a build sorts nothing but its input indices
+/// (for duplicate merging) and a few short adjacency slices.
 ///
 /// The triangulation is the basis for the localized Delaunay spanner (LDTG)
 /// of the paper: each node triangulates its k-hop neighborhood and keeps the

@@ -212,10 +212,15 @@ std::optional<geom::Point2> NeighborService::neighborPosition(int id) const {
 }
 
 std::vector<spanner::KnownNode> NeighborService::knowledge() const {
+  // Called once per route check per node. The table keeps every node ever
+  // heard, so size the output from the fresh records alone: one entry each
+  // plus at most one per entry they reported.
+  std::size_t bound = 0;
+  for (const auto& [id, rec] : table_) {
+    if (fresh(rec)) bound += 1 + rec.reported.size();
+  }
   std::vector<spanner::KnownNode> out;
-  // Called once per route check per node: size for one-hop entries plus a
-  // typical two-hop fan-out up front.
-  out.reserve(table_.size() * 4);
+  out.reserve(bound);
   KnowledgeScratch& scratch = knowledgeScratch();
   scratch.slotOf.clear();
   scratch.heard.clear();

@@ -54,7 +54,9 @@ void DirectDeliveryAgent::originate(int dstNode) {
 }
 
 void DirectDeliveryAgent::check() {
-  for (const dtn::CopyKey& key : buffer_.storeKeys()) {
+  std::vector<dtn::CopyKey> keys;
+  buffer_.storeKeys(keys);
+  for (const dtn::CopyKey& key : keys) {
     dtn::Message* m = buffer_.findInStore(key);
     if (m == nullptr) continue;
     if (!neighbors_.isNeighbor(m->dstNode)) continue;

@@ -86,7 +86,9 @@ void SprayWaitAgent::onContact(int id) {
   net::Payload payload = net::Payload::create<SummaryVector>();
   SummaryVector& sv = payload.mutableValue<SummaryVector>();
   sv.ids.clear();
-  for (const dtn::CopyKey& key : buffer_.storeKeys()) {
+  std::vector<dtn::CopyKey> keys;
+  buffer_.storeKeys(keys);
+  for (const dtn::CopyKey& key : keys) {
     const dtn::Message* m = buffer_.findInStore(key);
     if (m == nullptr) continue;
     const int b = budget_[key.id];

@@ -14,6 +14,7 @@ namespace {
 using glr::core::decideCopyCount;
 using glr::core::extractPath;
 using glr::core::NetworkProfile;
+using glr::core::ProgressNeighbor;
 using glr::core::progressNeighbors;
 using glr::core::selectNextHop;
 using glr::core::treeFlagsForCopies;
@@ -28,7 +29,8 @@ TEST(Progress, OnlyStrictlyCloserNeighbors) {
                   {2, {-10, 0}},   // farther
                   {3, {0, 100}},   // equal-ish (dist ~141 > 100): farther
                   {4, {99, 0}}};   // much closer
-  const auto c = progressNeighbors(self, dest, nbrs);
+  std::vector<ProgressNeighbor> c;
+  progressNeighbors(self, dest, nbrs, c);
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c[0].id, 4);  // sorted by distance to destination
   EXPECT_EQ(c[1].id, 1);
@@ -37,13 +39,16 @@ TEST(Progress, OnlyStrictlyCloserNeighbors) {
 TEST(Progress, EmptyWhenLocalMinimum) {
   const Point2 self{50, 50}, dest{50, 50};
   const Nbrs nbrs{{1, {60, 50}}, {2, {40, 50}}};
-  EXPECT_TRUE(progressNeighbors(self, dest, nbrs).empty());
+  std::vector<ProgressNeighbor> c{{9, {50, 50}, 0.0}};  // cleared first
+  progressNeighbors(self, dest, nbrs, c);
+  EXPECT_TRUE(c.empty());
 }
 
 TEST(Progress, DeterministicTieBreakById) {
   const Point2 self{0, 0}, dest{100, 0};
   const Nbrs nbrs{{7, {50, 10}}, {3, {50, -10}}};  // equidistant from dest
-  const auto c = progressNeighbors(self, dest, nbrs);
+  std::vector<ProgressNeighbor> c;
+  progressNeighbors(self, dest, nbrs, c);
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c[0].id, 3);
   EXPECT_EQ(c[1].id, 7);
@@ -53,7 +58,8 @@ TEST(SelectNextHop, MaxMinMid) {
   const Point2 self{0, 0}, dest{100, 0};
   const Nbrs nbrs{{1, {90, 0}}, {2, {70, 0}}, {3, {50, 0}},
                   {4, {30, 0}}, {5, {10, 0}}};
-  const auto c = progressNeighbors(self, dest, nbrs);
+  std::vector<ProgressNeighbor> c;
+  progressNeighbors(self, dest, nbrs, c);
   ASSERT_EQ(c.size(), 5u);
   EXPECT_EQ(selectNextHop(TreeFlag::kMax, c)->id, 1);  // closest to dest
   EXPECT_EQ(selectNextHop(TreeFlag::kMin, c)->id, 5);  // least progress
@@ -65,7 +71,8 @@ TEST(SelectNextHop, MidVariantsPreferDistinctNeighbors) {
   const Point2 self{0, 0}, dest{100, 0};
   const Nbrs nbrs{{1, {90, 0}}, {2, {70, 0}}, {3, {50, 0}},
                   {4, {30, 0}}, {5, {10, 0}}};
-  const auto c = progressNeighbors(self, dest, nbrs);
+  std::vector<ProgressNeighbor> c;
+  progressNeighbors(self, dest, nbrs, c);
   const auto mid0 = selectNextHop(TreeFlag::kMid, c)->id;
   const auto mid1 =
       selectNextHop(static_cast<TreeFlag>(4), c)->id;  // first extra mid
@@ -78,7 +85,8 @@ TEST(SelectNextHop, EmptyCandidates) {
 
 TEST(SelectNextHop, SingleCandidateAlwaysChosen) {
   const Point2 self{0, 0}, dest{100, 0};
-  const auto c = progressNeighbors(self, dest, {{9, {50, 0}}});
+  std::vector<ProgressNeighbor> c;
+  progressNeighbors(self, dest, {{9, {50, 0}}}, c);
   for (const auto f : {TreeFlag::kMax, TreeFlag::kMin, TreeFlag::kMid}) {
     EXPECT_EQ(selectNextHop(f, c)->id, 9);
   }

@@ -134,7 +134,8 @@ TEST(Buffer, StoreKeysFifoOrder) {
   b.addToStore(makeMsg(1, 3));
   b.addToStore(makeMsg(1, 1));
   b.addToStore(makeMsg(1, 2));
-  const auto keys = b.storeKeys();
+  std::vector<CopyKey> keys{makeMsg(9, 9).key()};  // cleared first
+  b.storeKeys(keys);
   ASSERT_EQ(keys.size(), 3u);
   EXPECT_EQ(keys[0].id.seq, 3);
   EXPECT_EQ(keys[1].id.seq, 1);

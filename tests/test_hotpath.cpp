@@ -2,8 +2,8 @@
 // the mobility models directly (for every registered model, under repeated
 // same-time queries and radio churn), the steady-state beaconing / MAC /
 // channel path performs zero heap allocations, and a warm GLR route check
-// allocates only the vectors it returns (counted by overriding the global
-// allocator in this binary).
+// allocates only the vectors knowledge() and localSpannerNeighbors return
+// (counted by overriding the global allocator in this binary).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "../bench/counting_allocator.hpp"
+#include "core/glr_agent.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "mobility/mobility.hpp"
@@ -228,6 +229,80 @@ TEST(ZeroAllocSteadyState, RouteCheckAllocatesOnlyItsResults) {
   EXPECT_LE(worstSpanner, 1)
       << "localSpannerNeighbors allocated beyond its returned vector over "
       << calls << " memo-missing calls";
+}
+
+/// The whole warm GLR route check, GlrAgent::checkRoutes over a non-empty
+/// store, allocates only the two vectors knowledge() and
+/// localSpannerNeighbors return: the spanner neighbor list, the store key
+/// snapshot and each copy's progress candidates live in reused buffers.
+/// A zero custody window refuses every send before it allocates, so the
+/// copies stay stored and every check walks them all through candidate
+/// selection; the world is static, so beaconing allocates nothing and the
+/// route checks are the only allocating events.
+TEST(ZeroAllocSteadyState, WarmCheckRoutesAllocatesOnlyReturnedVectors) {
+  Simulator sim;
+  sim.reserve(1024);
+  TwoRayGround model;
+  RadioParams radio;
+  radio.nominalRange = 250.0;
+  World world{sim, model, radio, MacParams{}};
+
+  // A line of relays 150 m apart and a destination far beyond its end:
+  // every holder has neighbors closer to the destination.
+  constexpr int kRelays = 12;
+  constexpr int kDest = kRelays;
+  for (int i = 0; i < kRelays; ++i) {
+    world.addNode(std::make_unique<glr::mobility::StaticMobility>(
+                      Point2{150.0 * i, 0.0}),
+                  Rng{400 + static_cast<std::uint64_t>(i)});
+  }
+  world.addNode(
+      std::make_unique<glr::mobility::StaticMobility>(Point2{5000.0, 0.0}),
+      Rng{499});
+
+  glr::core::GlrParams params;
+  params.network.numNodes = kRelays + 1;
+  params.network.radius = radio.nominalRange;
+  params.network.areaWidth = 5000.0;
+  params.network.areaHeight = 300.0;
+  params.copiesOverride = 3;
+  params.custodyWindow = 0;
+  std::vector<glr::core::GlrAgent*> agents;
+  for (int i = 0; i <= kDest; ++i) {
+    auto agent = std::make_unique<glr::core::GlrAgent>(
+        world, i, params, nullptr, Rng{600 + static_cast<std::uint64_t>(i)});
+    agents.push_back(agent.get());
+    world.setAgent(i, std::move(agent));
+  }
+  world.start();
+  sim.run(5.0);  // neighbor tables full
+  const std::vector<int> holders{0, 4, 8};
+  for (const int h : holders) {
+    agents[static_cast<std::size_t>(h)]->originate(kDest);
+  }
+  sim.run(120.0);  // warm: scratch, memo entries and location tables
+
+  const auto stats0 = glr::spanner::localSpannerCacheStats();
+  const long long a0 = allocCount();
+  sim.run(240.0);
+  const long long allocs = allocCount() - a0;
+  const auto stats1 = glr::spanner::localSpannerCacheStats();
+  const auto checks =
+      static_cast<long long>((stats1.hits + stats1.misses) -
+                             (stats0.hits + stats0.misses));
+
+  // Only the holders' checks reach the spanner; each runs about once per
+  // checkInterval.
+  EXPECT_GE(checks, 3 * 100) << "route checks over a non-empty store";
+  for (const int h : holders) {
+    const glr::core::GlrAgent& agent = *agents[static_cast<std::size_t>(h)];
+    EXPECT_EQ(agent.buffer().storeSize(), 3u);
+    EXPECT_EQ(agent.counters().dataSent, 0u);
+  }
+  EXPECT_LE(allocs, 2 * checks)
+      << allocs << " allocations in " << checks
+      << " warm route checks; each may allocate only knowledge()'s and "
+         "localSpannerNeighbors' returned vectors";
 }
 
 /// The golden mid-size GLR scenario still runs correctly in this binary

@@ -132,6 +132,39 @@ TEST(Neighbor, LocationSamplesIncludeTwoHop) {
               sampleIds.end());
 }
 
+TEST(Neighbor, KnowledgeReservesForFreshRecordsOnly) {
+  // The table keeps every node ever heard (eviction is off by default), so
+  // knowledge() must size its output from the fresh records, not from the
+  // table: 300 stale records leave its capacity where it was.
+  Harness h{{{0, 0}, {100, 0}}};
+  NeighborService& service = h.agents[0]->service();
+  h.sim.run(3.0);
+  const auto before = service.knowledge();
+  ASSERT_EQ(before.size(), 1u);
+
+  for (int id = 100; id < 400; ++id) {
+    Packet p;
+    p.kind = glr::net::kHelloKind;
+    p.payload = glr::net::Payload::create<glr::net::HelloPayload>();
+    auto& hello = p.payload.mutableValue<glr::net::HelloPayload>();
+    hello.id = id;
+    hello.pos = {1000.0 + id, 0.0};
+    hello.sentAt = h.sim.now();
+    hello.neighbors.clear();
+    for (int k = 0; k < 3; ++k) {
+      hello.neighbors.push_back({1000 + 3 * id + k, {0, 0}, h.sim.now()});
+    }
+    ASSERT_TRUE(service.handlePacket(p, id));
+  }
+  EXPECT_EQ(service.knowledge().size(), 301u + 300u * 3u);
+  h.sim.run(10.0);  // the injected records go stale; node 1 stays fresh
+
+  const auto after = service.knowledge();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after.capacity(), before.capacity())
+      << "knowledge() reserved for stale records";
+}
+
 TEST(Neighbor, HelloTrafficCounted) {
   Harness h{{{0, 0}, {100, 0}}};
   h.sim.run(5.0);

@@ -43,7 +43,7 @@ TEST_P(BufferFuzz, MatchesBruteForceModel) {
   MessageBuffer buf{capacity};
 
   // Model: ordered lists of keys (FIFO).
-  std::vector<CopyKey> store, cache;
+  std::vector<CopyKey> store, cache, keys;
   const auto makeKey = [&rng]() -> CopyKey {
     return {{static_cast<int>(rng.below(3)), static_cast<int>(rng.below(8))},
             static_cast<TreeFlag>(rng.below(4))};
@@ -125,7 +125,8 @@ TEST_P(BufferFuzz, MatchesBruteForceModel) {
     for (const CopyKey& key : store) ASSERT_TRUE(buf.inStore(key));
     for (const CopyKey& key : cache) ASSERT_TRUE(buf.inCache(key));
     // FIFO order of the store is preserved.
-    ASSERT_EQ(buf.storeKeys(), store);
+    buf.storeKeys(keys);
+    ASSERT_EQ(keys, store);
   }
 }
 
