@@ -103,8 +103,13 @@ void BM_EventQueueThroughput(benchmark::State& state) {
     glr::sim::Simulator sim;
     glr::sim::Rng rng{3};
     int fired = 0;
+    sim.setHandler(1, &fired, [](void* n, const glr::sim::EventDesc&) {
+      ++*static_cast<int*>(n);
+    });
+    glr::sim::EventDesc tick;
+    tick.kind = 1;
     for (int i = 0; i < 10000; ++i) {
-      sim.schedule(rng.uniform(0.0, 100.0), [&fired] { ++fired; });
+      sim.schedule(rng.uniform(0.0, 100.0), tick);
     }
     sim.run();
     benchmark::DoNotOptimize(fired);

@@ -1,6 +1,7 @@
 /// \file bench_sim_kernel.cpp
-/// A/B microbenchmark of the event kernel: the allocation-free slab + 4-ary
-/// heap kernel (`glr::sim::Simulator`) against the frozen pre-PR kernel
+/// A/B microbenchmark of the event kernel: the allocation-free record kernel
+/// (`glr::sim::Simulator`: POD event records in a slab, per-kind handlers, a
+/// 4-ary heap) against the frozen pre-slab kernel
 /// (`bench/legacy_simulator.hpp`: shared_ptr cancellation flags,
 /// std::function closures, priority_queue of full events).
 ///
@@ -13,13 +14,16 @@
 ///   * cancel-churn    — ack-timer pattern: every fired event schedules a
 ///                       successor plus a timeout that is cancelled before
 ///                       it can fire (MAC ACK timeouts, custody timers).
-/// Plus an end-to-end `runScenario` timing on the mid-size GLR scenario the
-/// determinism regression test pins.
+/// The legacy kernel runs closures; the record kernel runs the same payload
+/// as records through a trivial registered handler, which is the path every
+/// scenario event takes. Plus an end-to-end `runScenario` timing on the
+/// mid-size GLR scenario the determinism regression test pins.
 ///
 /// Usage: bench_sim_kernel [--quick] [--out FILE.json]
 ///   --quick  CI mode: small event counts, skips the end-to-end scenario.
 ///   --out    write machine-readable results (default BENCH_kernel.json;
-///            see README "Simulation kernel & performance").
+///            see README "Simulation kernel & performance"), stamped with
+///            the host (CPU, cores, compiler, build type, git sha).
 
 #include <chrono>
 #include <cstdio>
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "experiment/scenario.hpp"
 #include "legacy_simulator.hpp"
 #include "sim/rng.hpp"
@@ -40,13 +45,13 @@ double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Capture payload mirroring the protocol stack's custody/cache timers
-/// (`[this, key, sentAt]` in glr_agent.cpp): 24 bytes of state that ride in
-/// every closure. Together with the context pointer this exceeds libstdc++
-/// std::function's 16-byte small-object buffer — the legacy kernel heap-
-/// allocates (and copy-allocates again on pop) for every such timer, while
-/// it sits comfortably inside the slab kernel's 48-byte inline budget. This
-/// is the case the scenario hot path hits millions of times.
+/// Timer payload mirroring the protocol stack's custody/cache timers
+/// (`{key, deadline, hop}` state per event, as glr_agent.cpp's custody
+/// records carry). With the context pointer it exceeds libstdc++
+/// std::function's 16-byte small-object buffer, so the legacy kernel heap-
+/// allocates (and copy-allocates again on pop) for every such timer. The
+/// record kernel carries it in the record: u0 = key, f0 = deadline,
+/// i0 = hop.
 struct TimerPayload {
   long long key;
   double deadline;
@@ -145,6 +150,96 @@ KernelRun cancelChurn(std::uint64_t n, std::uint64_t depth) {
   return {sim.eventsExecuted(), ctx.sink};
 }
 
+// ---- The same three shapes on the record kernel -------------------------
+
+constexpr std::uint16_t kTick = 1;
+constexpr std::uint16_t kTimeout = 2;
+
+glr::sim::EventDesc tickRecord(const TimerPayload& p) {
+  glr::sim::EventDesc d;
+  d.kind = kTick;
+  d.u0 = static_cast<std::uint64_t>(p.key);
+  d.f0 = p.deadline;
+  d.i0 = p.hop;
+  return d;
+}
+
+/// Folds a fired record's key into the checksum (the legacy closures fold
+/// their captured key the same way).
+void foldKey(void* sink, const glr::sim::EventDesc& e) {
+  auto& s = *static_cast<std::uint64_t*>(sink);
+  s = s * 31 + e.u0;
+}
+
+KernelRun scheduleDrainRecords(std::uint64_t n) {
+  glr::sim::Simulator sim;
+  glr::sim::Rng rng{42};
+  std::uint64_t sink = 0;
+  sim.setHandler(kTick, &sink, &foldKey);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const TimerPayload p{static_cast<long long>(i), rng.uniform(0.0, 1000.0),
+                         static_cast<int>(i & 7)};
+    sim.schedule(p.deadline, tickRecord(p));
+  }
+  sim.run();
+  return {sim.eventsExecuted(), sink};
+}
+
+using RecordCtx = ChurnCtx<glr::sim::Simulator>;
+
+KernelRun timerChurnRecords(std::uint64_t n, std::uint64_t depth) {
+  glr::sim::Simulator sim;
+  glr::sim::Rng rng{43};
+  RecordCtx ctx{sim, rng, n};
+  sim.setHandler(kTick, &ctx, [](void* p, const glr::sim::EventDesc& e) {
+    auto& c = *static_cast<RecordCtx*>(p);
+    c.sink = c.sink * 31 + e.u0;
+    if (c.remaining == 0) return;
+    --c.remaining;
+    glr::sim::EventDesc next = e;
+    next.u0 = e.u0 + 1;
+    next.f0 = c.rng.uniform(0.0, 1.0);
+    next.i0 = e.i0 + 1;
+    c.sim.schedule(next.f0, next);
+  });
+  for (std::uint64_t i = 0; i < depth; ++i) {
+    const TimerPayload p{static_cast<long long>(i), rng.uniform(0.0, 1.0), 0};
+    sim.schedule(p.deadline, tickRecord(p));
+  }
+  sim.run();
+  return {sim.eventsExecuted(), ctx.sink};
+}
+
+KernelRun cancelChurnRecords(std::uint64_t n, std::uint64_t depth) {
+  glr::sim::Simulator sim;
+  glr::sim::Rng rng{44};
+  RecordCtx ctx{sim, rng, n};
+  sim.setHandler(kTick, &ctx, [](void* p, const glr::sim::EventDesc& e) {
+    auto& c = *static_cast<RecordCtx*>(p);
+    c.sink = c.sink * 31 + e.u0;
+    if (c.remaining == 0) return;
+    --c.remaining;
+    glr::sim::EventDesc timeout = e;
+    timeout.kind = kTimeout;
+    timeout.u0 = ~e.u0;
+    timeout.f0 = 2.0 + c.rng.uniform(0.0, 1.0);
+    glr::sim::EventHandle h = c.sim.schedule(timeout.f0, timeout);
+    glr::sim::EventDesc next = e;
+    next.u0 = e.u0 + 1;
+    next.f0 = c.rng.uniform(0.0, 1.0);
+    next.i0 = e.i0 + 1;
+    c.sim.schedule(next.f0, next);
+    h.cancel();  // a timeout that fires anyway poisons the checksum
+  });
+  sim.setHandler(kTimeout, &ctx.sink, &foldKey);
+  for (std::uint64_t i = 0; i < depth; ++i) {
+    const TimerPayload p{static_cast<long long>(i), rng.uniform(0.0, 1.0), 0};
+    sim.schedule(p.deadline, tickRecord(p));
+  }
+  sim.run();
+  return {sim.eventsExecuted(), ctx.sink};
+}
+
 struct MicroResult {
   std::string name;
   std::uint64_t events = 0;
@@ -177,8 +272,6 @@ MicroResult runMicro(const std::string& name, std::uint64_t events,
                      std::uint64_t depth, int reps) {
   using LegacySim = glr::bench::legacy::Simulator;
   using LegacyHandle = glr::bench::legacy::EventHandle;
-  using SlabSim = glr::sim::Simulator;
-  using SlabHandle = glr::sim::EventHandle;
 
   MicroResult m;
   m.name = name;
@@ -187,21 +280,20 @@ MicroResult runMicro(const std::string& name, std::uint64_t events,
     m.legacySeconds = timeBestOf(
         reps, [&] { return scheduleDrain<LegacySim>(events); }, &m.legacyRun);
     m.slabSeconds = timeBestOf(
-        reps, [&] { return scheduleDrain<SlabSim>(events); }, &m.slabRun);
+        reps, [&] { return scheduleDrainRecords(events); }, &m.slabRun);
   } else if (name == "timer-churn") {
     m.legacySeconds = timeBestOf(
         reps, [&] { return timerChurn<LegacySim>(events, depth); },
         &m.legacyRun);
     m.slabSeconds = timeBestOf(
-        reps, [&] { return timerChurn<SlabSim>(events, depth); }, &m.slabRun);
+        reps, [&] { return timerChurnRecords(events, depth); }, &m.slabRun);
   } else {
     m.legacySeconds = timeBestOf(
         reps,
         [&] { return cancelChurn<LegacySim, LegacyHandle>(events, depth); },
         &m.legacyRun);
     m.slabSeconds = timeBestOf(
-        reps, [&] { return cancelChurn<SlabSim, SlabHandle>(events, depth); },
-        &m.slabRun);
+        reps, [&] { return cancelChurnRecords(events, depth); }, &m.slabRun);
   }
   std::printf("%-16s %9llu events  legacy %7.2f Mev/s  slab %7.2f Mev/s  "
               "speedup %.2fx\n",
@@ -293,10 +385,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"sim_kernel\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  glr::bench::writeHostStamp(out);
   std::fprintf(out,
                "  \"legacy\": \"shared_ptr+std::function+priority_queue\",\n");
   std::fprintf(out, "  \"slab\": \"slab+generation-handles+4ary-heap+"
-                    "inplace-function\",\n");
+                    "event-records\",\n");
   std::fprintf(out, "  \"micro\": [\n");
   for (std::size_t i = 0; i < micros.size(); ++i) {
     const auto& m = micros[i];

@@ -14,6 +14,7 @@
 #include "mobility/mobility.hpp"
 #include "net/world.hpp"
 #include "phy/propagation.hpp"
+#include "sim/event_kinds.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -84,10 +85,18 @@ int main() {
   world.start();
 
   // Village 0 sends hourly-ish reports to the district office at village 4,
-  // which also answers back.
+  // which also answers back. Each message is an event record the World
+  // routes to the source's agent: i0 = source node, i1 = destination.
+  const auto message = [](int src, int dst) {
+    glr::sim::EventDesc e;
+    e.kind = glr::sim::kTrafficPaperArrival;
+    e.i0 = src;
+    e.i1 = dst;
+    return e;
+  };
   for (int k = 0; k < 10; ++k) {
-    sim.schedule(30.0 + 120.0 * k, [&agents] { agents[0]->originate(4); });
-    sim.schedule(90.0 + 120.0 * k, [&agents] { agents[4]->originate(0); });
+    sim.schedule(30.0 + 120.0 * k, message(0, 4));
+    sim.schedule(90.0 + 120.0 * k, message(4, 0));
   }
   sim.run(3600.0);
 

@@ -152,6 +152,13 @@ CheckpointFile CheckpointFile::read(const std::string& path) {
   const std::uint32_t sectionCount = d.u32();
   const std::uint32_t reserved = d.u32();
   if (reserved != 0) fail(path, "nonzero reserved header field");
+  // Each section needs at least its 12-byte header, so a count the bytes
+  // left cannot hold is refused before it sizes any allocation.
+  if (sectionCount > d.remaining() / 12) {
+    fail(path, "section count " + std::to_string(sectionCount) +
+                   " exceeds what " + std::to_string(d.remaining()) +
+                   " bytes can hold");
+  }
   out.sections.reserve(sectionCount);
   for (std::uint32_t i = 0; i < sectionCount; ++i) {
     if (d.remaining() < 12) {

@@ -1,10 +1,11 @@
 #include "checkpoint/scenario_checkpoint.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/file.hpp"
 #include "dtn/metrics.hpp"
 #include "experiment/traffic.hpp"
@@ -13,6 +14,7 @@
 #include "net/faults.hpp"
 #include "net/world.hpp"
 #include "routing/dtn_agent.hpp"
+#include "sim/event_kinds.hpp"
 
 namespace glr::ckpt {
 
@@ -105,6 +107,114 @@ void requireAgreement(bool componentPresent, bool sectionPresent,
                                   "missing from the checkpoint")};
 }
 
+/// What a restored pending-event record must satisfy beyond its kind having
+/// a handler in this scenario (churn, fault, traffic and checkpoint-timer
+/// kinds are registered only when their component is built, flap events
+/// only with an adversary model, and protocol timers only by their agent
+/// type). One row per kind, indexed by kind; see sim/event_kinds.hpp for
+/// what each field means.
+enum class Ref : std::uint8_t {
+  kNone,    // unchecked
+  kNode,    // a node id: [0, population)
+  kTx,      // a transmission id: [0, transmissions started)
+  kChurn,   // a churning-node index: [0, churning nodes)
+  kSource,  // an ON/OFF traffic source index: [0, sources)
+};
+struct RecordRule {
+  Ref i0 = Ref::kNone;
+  Ref i1 = Ref::kNone;
+  Ref u0 = Ref::kNone;
+  bool treeFlagB0 = false;  // b0 is a dtn::TreeFlag (0..3)
+  bool macTimer = false;    // the node's MAC holds a handle to the event
+  bool durationF0 = false;  // f0 is a finite non-negative duration
+};
+constexpr RecordRule kNodeEvent{Ref::kNode};
+constexpr RecordRule kMacTimer{Ref::kNode, Ref::kNone, Ref::kNone, false,
+                               true};
+constexpr RecordRule kAckReply{Ref::kNode, Ref::kNode, Ref::kNone, false,
+                               false, true};
+constexpr RecordRule kRecordRules[sim::kLibraryKindEnd] = {
+    {},                                         // kNone
+    {Ref::kNone, Ref::kNone, Ref::kTx},         // kChannelTxEnd
+    kMacTimer,                                  // kMacAttempt
+    kMacTimer,                                  // kMacBackoffExpire
+    kNodeEvent,                                 // kMacTxEnd
+    kMacTimer,                                  // kMacAckTimeout
+    kAckReply,                                  // kMacAckReply
+    kNodeEvent,                                 // kHello
+    kNodeEvent,                                 // kAgentStart
+    {Ref::kNone, Ref::kNone, Ref::kChurn},      // kChurnToggle
+    {},                                         // kFaultBurstNext
+    {},                                         // kFaultBurstEnd
+    {},                                         // kFaultStallNext
+    kNodeEvent,                                 // kFaultStallEnd
+    kNodeEvent,                                 // kFaultFlap
+    kNodeEvent,                                 // kGlrPeriodicCheck
+    kNodeEvent,                                 // kGlrQueuedCheck
+    {Ref::kNode, Ref::kNode, Ref::kNone, true},  // kGlrAckRetry
+    {Ref::kNode, Ref::kNode, Ref::kNone, true},  // kGlrCustodyTimer
+    kNodeEvent,                                 // kEpidemicExchange
+    kNodeEvent,                                 // kSprayExpiry
+    kNodeEvent,                                 // kDirectCheck
+    {Ref::kNode, Ref::kNode},                   // kTrafficPaperArrival
+    {},                                         // kTrafficArrival
+    {Ref::kNone, Ref::kNone, Ref::kSource},     // kTrafficSourceToggle
+    {Ref::kNone, Ref::kNone, Ref::kSource},     // kTrafficSourceArrival
+    {},                                         // kCheckpointTimer
+};
+
+/// Refuses (through `d`) a record restore must not schedule: an unknown or
+/// unregistered kind, a field naming something this scenario lacks, or a
+/// tree flag out of range.
+void checkRecord(const ScenarioComponents& c, const sim::EventDesc& e,
+                 Decoder& d) {
+  if (e.kind >= sim::kLibraryKindEnd || !c.sim->handles(e.kind)) {
+    d.fail("event kind " + std::to_string(e.kind) +
+           " is unknown or has no owner in this scenario (its churn, fault, "
+           "traffic, adversary, protocol or checkpoint component is not "
+           "built)");
+  }
+  const RecordRule& rule = kRecordRules[e.kind];
+  const auto within = [&](Ref ref, std::int64_t v, const char* field) {
+    std::int64_t bound = 0;
+    switch (ref) {
+      case Ref::kNone:
+        return;
+      case Ref::kNode:
+        bound = static_cast<std::int64_t>(c.agents->size());
+        break;
+      case Ref::kTx:
+        bound = static_cast<std::int64_t>(
+            c.world->channel().transmissionsStarted());
+        break;
+      case Ref::kChurn:
+        bound = static_cast<std::int64_t>(c.churn->churningNodes());
+        break;
+      case Ref::kSource:
+        bound = static_cast<std::int64_t>(c.traffic->sourceCount());
+        break;
+    }
+    if (v < 0 || v >= bound) {
+      d.fail("event kind " + std::to_string(e.kind) + " field " + field +
+             " = " + std::to_string(v) + " is outside [0, " +
+             std::to_string(bound) + ")");
+    }
+  };
+  within(rule.i0, e.i0, "i0");
+  within(rule.i1, e.i1, "i1");
+  // u0 bounds are far below 2^63, so a larger value reads as negative and
+  // is refused with the rest.
+  within(rule.u0, static_cast<std::int64_t>(e.u0), "u0");
+  if (rule.treeFlagB0 && e.b0 > 3) {
+    d.fail("event kind " + std::to_string(e.kind) + " has tree flag " +
+           std::to_string(e.b0));
+  }
+  if (rule.durationF0 && !(e.f0 >= 0.0 && std::isfinite(e.f0))) {
+    d.fail("event kind " + std::to_string(e.kind) + " has duration " +
+           std::to_string(e.f0));
+  }
+}
+
 }  // namespace
 
 std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
@@ -173,19 +283,11 @@ void writeCheckpoint(const std::string& path, const ScenarioComponents& c) {
   f.nextSeq = c.sim->nextSeq();
   f.executed = c.sim->eventsExecuted();
 
-  // Pending events, in exact fire order. An undescribed event is a silently
-  // unrestorable checkpoint, so it refuses here, at snapshot time.
+  // Pending events, in exact fire order: each record copied out verbatim.
   const auto pending = c.sim->pendingEvents();
   f.addSection(kSectionEvents, encoded([&](Encoder& e) {
     e.size(pending.size());
     for (const auto& ev : pending) {
-      if (ev.desc.kind == kNone) {
-        throw std::runtime_error{
-            "writeCheckpoint: pending event at t=" +
-            std::to_string(sim::Simulator::bitsToTime(ev.key.timeBits)) +
-            " seq=" + std::to_string(ev.key.seq) +
-            " has no descriptor (untagged schedule site)"};
-      }
       e.u64(ev.key.timeBits);
       e.u64(ev.key.seq);
       e.u16(ev.desc.kind);
@@ -242,6 +344,11 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
         "scenario from the start instead)"};
   }
   const CheckpointFile f = CheckpointFile::read(path);
+  if (!(f.simNow >= 0.0) || !std::isfinite(f.simNow)) {
+    throw std::runtime_error{"checkpoint " + path + ": clock " +
+                             std::to_string(f.simNow) +
+                             " is not a finite non-negative time"};
+  }
   const std::uint64_t expect = configDigest(*c.cfg);
   if (f.configDigest != expect) {
     throw std::runtime_error{
@@ -259,8 +366,8 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
 
   // Kernel first: drop every construction-time event, rewind the clock and
   // counters, then overwrite component state before any event re-creation
-  // (restore*Event methods re-arm cancellation handles that restoreState
-  // resets).
+  // (the MAC's cancellation handles are re-bound after restoreState resets
+  // them, and record checks read restored counts).
   c.sim->clearPending();
   c.sim->restoreClock(f.simNow, f.nextSeq, f.executed);
   c.world->invalidatePositionCache();
@@ -312,12 +419,12 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
     d.expectEnd();
   }
 
-  // Pending events last, each dispatched to its owning component and
-  // re-created under the exact saved (timeBits, seq) key.
+  // Pending events last: each record copied back under its exact saved
+  // (timeBits, seq) key, in strictly increasing key order.
   const Section& s = f.section(kSectionEvents, path);
   Decoder d(s.bytes.data(), s.bytes.size(), path + " events section");
   const std::size_t nEvents = d.checkedSize(d.u64(), 58);
-  const int numNodes = static_cast<int>(c.agents->size());
+  sim::EventKey prev{};
   for (std::size_t i = 0; i < nEvents; ++i) {
     sim::EventKey key{};
     key.timeBits = d.u64();
@@ -332,105 +439,21 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
     desc.u1 = d.u64();
     desc.f0 = d.f64();
     desc.f1 = d.f64();
-
-    const auto nodeOf = [&](std::int32_t id) {
-      if (id < 0 || id >= numNodes) {
-        d.fail("event names node " + std::to_string(id) +
-               " outside the population");
-      }
-      return id;
-    };
-
-    switch (desc.kind) {
-      case kChannelTxEnd:
-        c.world->channel().restoreTxEndEvent(key, desc.u0);
-        break;
-      case kMacAttempt:
-        c.world->macOf(nodeOf(desc.i0)).restoreAttemptEvent(key);
-        break;
-      case kMacBackoffExpire:
-        c.world->macOf(nodeOf(desc.i0)).restoreBackoffEvent(key);
-        break;
-      case kMacTxEnd:
-        c.world->macOf(nodeOf(desc.i0))
-            .restoreTxEndEvent(key, desc.b0 != 0, desc.u0);
-        break;
-      case kMacAckTimeout:
-        c.world->macOf(nodeOf(desc.i0)).restoreAckTimeoutEvent(key);
-        break;
-      case kMacAckReply:
-        c.world->macOf(nodeOf(desc.i0))
-            .restoreAckReplyEvent(key, desc.i1, desc.u0, desc.f0, desc.u1);
-        break;
-      case kAgentStart:
-        c.world->restoreAgentStartEvent(key, nodeOf(desc.i0));
-        break;
-      case kChurnToggle:
-        if (c.churn == nullptr) d.fail("churn event without churn");
-        c.churn->restoreToggleEvent(key,
-                                    static_cast<std::size_t>(desc.u0));
-        break;
-      case kFaultBurstNext:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreBurstNextEvent(key);
-        break;
-      case kFaultBurstEnd:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreBurstEndEvent(key);
-        break;
-      case kFaultStallNext:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreStallNextEvent(key);
-        break;
-      case kFaultStallEnd:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreStallEndEvent(key, nodeOf(desc.i0));
-        break;
-      case kFaultFlap:
-        if (c.faults == nullptr) d.fail("fault event without faults");
-        c.faults->restoreFlapEvent(key, nodeOf(desc.i0), desc.b0 != 0);
-        break;
-      case kHello:
-      case kGlrPeriodicCheck:
-      case kGlrQueuedCheck:
-      case kGlrAckRetry:
-      case kGlrCustodyTimer:
-      case kEpidemicExchange:
-      case kSprayExpiry:
-      case kDirectCheck:
-        (*c.agents)[static_cast<std::size_t>(nodeOf(desc.i0))]->restoreEvent(
-            key, desc);
-        break;
-      case kTrafficPaperArrival: {
-        routing::DtnAgent* agent =
-            (*c.agents)[static_cast<std::size_t>(nodeOf(desc.i0))];
-        const int dst = nodeOf(desc.i1);
-        c.sim->scheduleKeyed(key, desc,
-                             [agent, dst] { agent->originate(dst); });
-        break;
-      }
-      case kTrafficArrival:
-        if (c.traffic == nullptr) d.fail("traffic event without process");
-        c.traffic->restoreArrivalEvent(key);
-        break;
-      case kTrafficSourceToggle:
-        if (c.traffic == nullptr) d.fail("traffic event without process");
-        c.traffic->restoreToggleEvent(key,
-                                      static_cast<std::size_t>(desc.u0));
-        break;
-      case kTrafficSourceArrival:
-        if (c.traffic == nullptr) d.fail("traffic event without process");
-        c.traffic->restoreSourceArrivalEvent(
-            key, static_cast<std::size_t>(desc.u0), desc.u1);
-        break;
-      case kCheckpointTimer:
-        if (!c.restoreCheckpointTimer) {
-          d.fail("checkpoint-timer event but no writer hook installed");
-        }
-        c.restoreCheckpointTimer(key);
-        break;
-      default:
-        d.fail("unknown event kind " + std::to_string(desc.kind));
+    if (i > 0 && std::tie(key.timeBits, key.seq) <=
+                     std::tie(prev.timeBits, prev.seq)) {
+      d.fail("event " + std::to_string(i) +
+             " is not after its predecessor in (time, seq) order");
+    }
+    prev = key;
+    checkRecord(c, desc, d);
+    sim::EventHandle h;
+    try {
+      h = c.sim->scheduleKeyed(key, desc);
+    } catch (const std::invalid_argument& err) {
+      d.fail(err.what());
+    }
+    if (kRecordRules[desc.kind].macTimer) {
+      c.world->macOf(desc.i0).adoptRestoredTimer(desc, h);
     }
   }
   d.expectEnd();

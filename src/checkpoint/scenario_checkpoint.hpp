@@ -4,22 +4,22 @@
 ///
 /// A checkpoint captures everything a mid-run scenario owns that is not a
 /// pure function of (config, seed): the kernel clock and pending-event set
-/// (as descriptor-tagged (time, seq) records — see event_kinds.hpp), the
+/// (the kernel's event records under their (time, seq) keys — see
+/// sim/event_kinds.hpp), the
 /// channel history ring, every node's MAC and routing-agent state, the
 /// churn/fault/traffic processes and the metrics sketches. Restoring into a
 /// freshly constructed scenario of the SAME config continues the run
 /// bit-identically: construction-derived state (positions, per-node RNG
 /// forks, spatial index) is rebuilt by construction, serialized state
-/// overwrites every mutable field, and the pending events are re-created
-/// under their exact original keys.
+/// overwrites every mutable field, and the pending event records are
+/// copied back under their exact original keys.
 ///
 /// Mismatches refuse loudly: a checkpoint restored into a different
 /// configuration (digest), an unsupported version, a truncated or corrupt
-/// file, or a descriptor whose owning component is absent all throw
+/// file, or an event record whose owning component is absent all throw
 /// std::runtime_error naming the defect.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -55,10 +55,6 @@ struct ScenarioComponents {
   net::ChurnProcess* churn = nullptr;             // null unless churn enabled
   net::FaultProcess* faults = nullptr;            // null unless faults enabled
   experiment::TrafficProcess* traffic = nullptr;  // null for the "paper" model
-  /// Re-creates the periodic checkpoint-writer event under its saved key
-  /// (the writer is a runScenario lambda, so the scenario supplies the
-  /// hook). Required iff the snapshot holds a kCheckpointTimer event.
-  std::function<void(const sim::EventKey&)> restoreCheckpointTimer;
 };
 
 /// Digest over every ScenarioConfig field that shapes the simulated event
@@ -67,16 +63,16 @@ struct ScenarioComponents {
 /// INCLUDED because the periodic writer event is part of the sequence.
 [[nodiscard]] std::uint64_t configDigest(const experiment::ScenarioConfig& cfg);
 
-/// Snapshots the full scenario state to `path` (atomic tmp+rename). Throws
-/// if any pending event is undescribed (kind == kNone) — that would be a
-/// silently unrestorable checkpoint.
+/// Snapshots the full scenario state to `path` (atomic tmp+rename).
 void writeCheckpoint(const std::string& path, const ScenarioComponents& c);
 
 /// Restores `path` into a freshly built scenario. Must run after every
 /// component is constructed and started (their initial events are cleared)
 /// and before Simulator::run. Refuses a digest mismatch, a version or
-/// integrity defect, tracing armed on the restored run, or any event whose
-/// owning component is missing.
+/// integrity defect, tracing armed on the restored run, a clock that is not
+/// a finite non-negative time, pending events out of strict (time, seq)
+/// order, or any event record whose kind has no handler here or whose
+/// fields name something this scenario lacks.
 void restoreCheckpoint(const std::string& path, const ScenarioComponents& c);
 
 }  // namespace glr::ckpt

@@ -6,11 +6,11 @@
 #include <stdexcept>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 #include "core/face.hpp"
 #include "core/trees.hpp"
 #include "net/faults.hpp"
+#include "sim/event_kinds.hpp"
 #include "trace/recorder.hpp"
 #include "spanner/ldtg.hpp"
 
@@ -18,7 +18,7 @@ namespace glr::core {
 
 namespace {
 
-sim::EventDesc glrDesc(ckpt::EventKind kind, int self) {
+sim::EventDesc glrDesc(sim::EventKind kind, int self) {
   sim::EventDesc d;
   d.kind = kind;
   d.i0 = self;
@@ -78,9 +78,13 @@ GlrAgent::GlrAgent(net::World& world, int self,
     });
     if (checkQueued_) return;
     checkQueued_ = true;
-    world_.sim().schedule(0.01, glrDesc(ckpt::kGlrQueuedCheck, self_),
-                          [this] { onQueuedCheck(); });
+    world_.sim().schedule(0.01, glrDesc(sim::kGlrQueuedCheck, self_));
   });
+  for (const sim::EventKind kind :
+       {sim::kGlrPeriodicCheck, sim::kGlrQueuedCheck, sim::kGlrAckRetry,
+        sim::kGlrCustodyTimer}) {
+    world_.routeToAgents(kind);
+  }
 }
 
 void GlrAgent::onQueuedCheck() {
@@ -97,8 +101,7 @@ void GlrAgent::start() {
   neighbors_.start();
   // Desynchronized periodic route checks.
   world_.sim().schedule(rng_.uniform(0.0, params_->checkInterval),
-                        glrDesc(ckpt::kGlrPeriodicCheck, self_),
-                        [this] { periodicCheck(); });
+                        glrDesc(sim::kGlrPeriodicCheck, self_));
 }
 
 void GlrAgent::periodicCheck() {
@@ -111,8 +114,7 @@ void GlrAgent::periodicCheck() {
   if (params_->messageTtl > 0.0) buffer_.expireDue(world_.sim().now());
   checkRoutes();
   world_.sim().schedule(params_->checkInterval,
-                        glrDesc(ckpt::kGlrPeriodicCheck, self_),
-                        [this] { periodicCheck(); });
+                        glrDesc(sim::kGlrPeriodicCheck, self_));
 }
 
 void GlrAgent::originate(int dstNode) {
@@ -155,8 +157,7 @@ void GlrAgent::originate(int dstNode) {
   // Kick an immediate check so fresh messages don't idle a full interval.
   if (!checkQueued_) {
     checkQueued_ = true;
-    world_.sim().schedule(0.001, glrDesc(ckpt::kGlrQueuedCheck, self_),
-                          [this] { onQueuedCheck(); });
+    world_.sim().schedule(0.001, glrDesc(sim::kGlrQueuedCheck, self_));
   }
 }
 
@@ -396,7 +397,7 @@ void GlrAgent::sendCustodyAck(const dtn::CopyKey& key, int to, int attempt,
   // Interface queue full: a lost custody ack forks the copy at the sender,
   // so retry shortly rather than relying on the sender's cache timeout.
   if (attempt < params_->ackRetries) {
-    sim::EventDesc desc = glrDesc(ckpt::kGlrAckRetry, self_);
+    sim::EventDesc desc = glrDesc(sim::kGlrAckRetry, self_);
     desc.i1 = to;
     desc.u0 = (static_cast<std::uint64_t>(
                    static_cast<std::uint32_t>(key.id.src))
@@ -405,10 +406,7 @@ void GlrAgent::sendCustodyAck(const dtn::CopyKey& key, int to, int attempt,
     desc.b0 = static_cast<std::uint8_t>(key.flag);
     desc.b1 = accepted ? 1 : 0;
     desc.u1 = static_cast<std::uint64_t>(attempt + 1);
-    world_.sim().schedule(params_->ackRetryDelay, desc,
-                          [this, key, to, attempt, accepted] {
-                            sendCustodyAck(key, to, attempt + 1, accepted);
-                          });
+    world_.sim().schedule(params_->ackRetryDelay, desc);
   } else {
     // Out of retries: the ack is abandoned (the sender's custody timer
     // recovers the copy). Counted, never silent.
@@ -541,15 +539,13 @@ bool GlrAgent::sendCopy(const dtn::CopyKey& key, int nextHop) {
   if (params_->custodyTransfer) {
     const sim::SimTime sentAt = world_.sim().now();
     buffer_.moveToCache(key, nextHop, sentAt);
-    sim::EventDesc desc = glrDesc(ckpt::kGlrCustodyTimer, self_);
+    sim::EventDesc desc = glrDesc(sim::kGlrCustodyTimer, self_);
     desc.i1 = key.id.src;
     desc.u0 = static_cast<std::uint64_t>(
         static_cast<std::uint32_t>(key.id.seq));
     desc.b0 = static_cast<std::uint8_t>(key.flag);
     desc.f0 = sentAt;
-    world_.sim().schedule(custodyTimeoutNow(), desc, [this, key, sentAt] {
-      onCustodyTimeout(key, sentAt);
-    });
+    world_.sim().schedule(custodyTimeoutNow(), desc);
   } else {
     buffer_.erase(key);
   }
@@ -818,53 +814,34 @@ void GlrAgent::restoreState(ckpt::Decoder& d) {
   haveRtt_ = d.boolean();
 }
 
-void GlrAgent::restoreEvent(const sim::EventKey& key,
-                            const sim::EventDesc& desc) {
-  switch (desc.kind) {
-    case ckpt::kHello:
-      neighbors_.restoreHelloEvent(key);
+void GlrAgent::onEvent(const sim::EventDesc& e) {
+  switch (e.kind) {
+    case sim::kHello:
+      neighbors_.sendHello();
       return;
-    case ckpt::kGlrPeriodicCheck:
-      world_.sim().scheduleKeyed(key, desc, [this] { periodicCheck(); });
+    case sim::kGlrPeriodicCheck:
+      periodicCheck();
       return;
-    case ckpt::kGlrQueuedCheck:
-      world_.sim().scheduleKeyed(key, desc, [this] { onQueuedCheck(); });
+    case sim::kGlrQueuedCheck:
+      onQueuedCheck();
       return;
-    case ckpt::kGlrAckRetry: {
-      if (desc.b0 > 3) {
-        throw std::runtime_error{"GlrAgent: ack-retry event bad tree flag"};
-      }
-      dtn::CopyKey ackKey;
-      ackKey.id = {static_cast<int>(desc.u0 >> 32),
-                   static_cast<int>(desc.u0 & 0xffffffffu)};
-      ackKey.flag = static_cast<dtn::TreeFlag>(desc.b0);
-      const int to = desc.i1;
-      const int attempt = static_cast<int>(desc.u1);
-      const bool accepted = desc.b1 != 0;
-      world_.sim().scheduleKeyed(key, desc,
-                                 [this, ackKey, to, attempt, accepted] {
-                                   sendCustodyAck(ackKey, to, attempt,
-                                                  accepted);
-                                 });
+    case sim::kGlrAckRetry: {
+      dtn::CopyKey key;
+      key.id = {static_cast<int>(e.u0 >> 32),
+                static_cast<int>(e.u0 & 0xffffffffu)};
+      key.flag = static_cast<dtn::TreeFlag>(e.b0);
+      sendCustodyAck(key, e.i1, static_cast<int>(e.u1), e.b1 != 0);
       return;
     }
-    case ckpt::kGlrCustodyTimer: {
-      if (desc.b0 > 3) {
-        throw std::runtime_error{"GlrAgent: custody timer bad tree flag"};
-      }
-      dtn::CopyKey copyKey;
-      copyKey.id = {desc.i1, static_cast<int>(desc.u0)};
-      copyKey.flag = static_cast<dtn::TreeFlag>(desc.b0);
-      const sim::SimTime sentAt = desc.f0;
-      world_.sim().scheduleKeyed(key, desc, [this, copyKey, sentAt] {
-        onCustodyTimeout(copyKey, sentAt);
-      });
+    case sim::kGlrCustodyTimer: {
+      dtn::CopyKey key;
+      key.id = {e.i1, static_cast<int>(e.u0)};
+      key.flag = static_cast<dtn::TreeFlag>(e.b0);
+      onCustodyTimeout(key, e.f0);
       return;
     }
     default:
-      throw std::runtime_error{
-          "GlrAgent: cannot restore event kind " +
-          std::to_string(static_cast<int>(desc.kind))};
+      DtnAgent::onEvent(e);
   }
 }
 

@@ -216,13 +216,12 @@ class GlrAgent final : public routing::DtnAgent {
 
   /// Checkpoint support: hello service, buffer (Store + Cache), location
   /// table, delivered set, suspicion ledger, AIMD congestion state,
-  /// counters and RNG. Pending events (hello beacon, periodic/queued route
-  /// checks, custody-ack retries, custody timers) are rebuilt via
-  /// restoreEvent.
+  /// counters and RNG.
   void saveState(ckpt::Encoder& e) const override;
   void restoreState(ckpt::Decoder& d) override;
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// kHello and the kGlr* timers (periodic/queued route checks, custody-ack
+  /// retries, custody timers); the rest go to DtnAgent::onEvent.
+  void onEvent(const sim::EventDesc& e) override;
 
  private:
   void periodicCheck();
@@ -241,9 +240,9 @@ class GlrAgent final : public routing::DtnAgent {
   void onCongestionSignal();
   /// Queues one copy to the MAC; returns true if it actually went out.
   bool sendCopy(const dtn::CopyKey& key, int nextHop);
-  /// Custody timer body: fires custodyTimeoutNow() after a cached send;
+  /// kGlrCustodyTimer body: fires custodyTimeoutNow() after a cached send;
   /// no-ops unless this exact custody round (matched by sentAt) is still
-  /// outstanding. Named so checkpoint restore re-creates the same callback.
+  /// outstanding.
   void onCustodyTimeout(const dtn::CopyKey& key, sim::SimTime sentAt);
   /// Contact/originate-triggered deferred route check (checkQueued_ gate).
   void onQueuedCheck();

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
 
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/scenario_checkpoint.hpp"
 #include "dtn/metrics.hpp"
 #include "experiment/node_export.hpp"
@@ -23,6 +21,7 @@
 #include "routing/direct.hpp"
 #include "routing/epidemic.hpp"
 #include "routing/spray_wait.hpp"
+#include "sim/event_kinds.hpp"
 #include "sim/rng.hpp"
 #include "spanner/ldtg.hpp"
 #include "stats/sketch.hpp"
@@ -225,12 +224,6 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   // per-node term keeps city-scale bursts from reallocating mid-run.
   simulator.reserve(std::max<std::size_t>(
       4096, static_cast<std::size_t>(cfg.numNodes) * 4));
-  // Checkpointing needs every pending event described, so this must precede
-  // the first schedule anywhere. Also required on a restored run: keyed
-  // event re-creation and any further snapshots both read descriptors.
-  if (cfg.checkpointEvery > 0.0 || !cfg.restoreFrom.empty()) {
-    simulator.enableEventDescriptions();
-  }
   if (cfg.wallDeadlineSeconds > 0.0) {
     simulator.setWallDeadline(cfg.wallDeadlineSeconds);
   }
@@ -345,7 +338,7 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   // perturbs nothing else.
   std::unique_ptr<TrafficProcess> trafficProcess;
   if (cfg.traffic.model == "paper") {
-    schedulePaperWorkload(simulator, agents, cfg.trafficNodes,
+    schedulePaperWorkload(simulator, cfg.trafficNodes,
                           cfg.numMessages, cfg.trafficStart,
                           cfg.messageInterval, master.fork(kTraffic));
   } else {
@@ -361,11 +354,12 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
 
   // Crash safety: the periodic snapshot writer is itself a simulated event
   // (kCheckpointTimer), so checkpointEvery is part of the config digest and
-  // of the deterministic sequence. The callback reschedules FIRST, so the
+  // of the deterministic sequence. The handler reschedules FIRST, so the
   // snapshot it then writes already contains the next timer — a restored
   // run keeps checkpointing on the same cadence. With checkpointPath empty
   // the timer still fires (keeping eventsExecuted identical to a writing
-  // run of the same config) but writes nothing.
+  // run of the same config) but writes nothing. The kind is registered only
+  // when the timer runs, so restore refuses a stray timer record.
   ckpt::ScenarioComponents comps;
   comps.sim = &simulator;
   comps.world = &world;
@@ -375,29 +369,20 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   comps.churn = churn.get();
   comps.faults = faults.get();
   comps.traffic = trafficProcess.get();
-  std::function<void()> checkpointTick;
   if (cfg.checkpointEvery > 0.0) {
-    checkpointTick = [&cfg, &simulator, &comps, &checkpointTick] {
-      sim::EventDesc desc{};
-      desc.kind = ckpt::kCheckpointTimer;
-      simulator.schedule(cfg.checkpointEvery, desc,
-                         [&checkpointTick] { checkpointTick(); });
-      if (!cfg.checkpointPath.empty()) {
-        ckpt::writeCheckpoint(cfg.checkpointPath, comps);
-      }
-    };
-    comps.restoreCheckpointTimer = [&simulator,
-                                    &checkpointTick](const sim::EventKey& key) {
-      sim::EventDesc desc{};
-      desc.kind = ckpt::kCheckpointTimer;
-      simulator.scheduleKeyed(key, desc,
-                              [&checkpointTick] { checkpointTick(); });
-    };
+    simulator.setHandler(
+        sim::kCheckpointTimer, &comps,
+        [](void* ctx, const sim::EventDesc& e) {
+          const auto& c = *static_cast<const ckpt::ScenarioComponents*>(ctx);
+          c.sim->schedule(c.cfg->checkpointEvery, e);
+          if (!c.cfg->checkpointPath.empty()) {
+            ckpt::writeCheckpoint(c.cfg->checkpointPath, c);
+          }
+        });
     if (cfg.restoreFrom.empty()) {
-      sim::EventDesc desc{};
-      desc.kind = ckpt::kCheckpointTimer;
-      simulator.schedule(cfg.checkpointEvery, desc,
-                         [&checkpointTick] { checkpointTick(); });
+      sim::EventDesc timer;
+      timer.kind = sim::kCheckpointTimer;
+      simulator.schedule(cfg.checkpointEvery, timer);
     }
   }
 

@@ -7,13 +7,13 @@
 #include <utility>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
+#include "sim/event_kinds.hpp"
 
 namespace glr::experiment {
 
 namespace {
 
-sim::EventDesc trafficDesc(ckpt::EventKind kind) {
+sim::EventDesc trafficDesc(sim::EventKind kind) {
   sim::EventDesc d;
   d.kind = kind;
   return d;
@@ -21,21 +21,16 @@ sim::EventDesc trafficDesc(ckpt::EventKind kind) {
 
 }  // namespace
 
-void schedulePaperWorkload(sim::Simulator& sim,
-                           const std::vector<routing::DtnAgent*>& agents,
-                           int trafficNodes, int numMessages,
-                           double trafficStart, double messageInterval,
-                           sim::Rng trafficRng) {
+void schedulePaperWorkload(sim::Simulator& sim, int trafficNodes,
+                           int numMessages, double trafficStart,
+                           double messageInterval, sim::Rng trafficRng) {
   constexpr std::uint64_t kPairEnumerationCap = 1u << 20;
   const auto traffic = static_cast<std::uint64_t>(trafficNodes);
   const auto scheduleMessage = [&](int k, int src, int dst) {
-    sim::EventDesc desc = trafficDesc(ckpt::kTrafficPaperArrival);
+    sim::EventDesc desc = trafficDesc(sim::kTrafficPaperArrival);
     desc.i0 = src;
     desc.i1 = dst;
-    sim.schedule(trafficStart + k * messageInterval, desc,
-                 [agent = agents[static_cast<std::size_t>(src)], dst] {
-                   agent->originate(dst);
-                 });
+    sim.schedule(trafficStart + k * messageInterval, desc);
   };
   if (traffic * (traffic - 1) <= kPairEnumerationCap) {
     std::vector<std::pair<int, int>> pairs;
@@ -133,6 +128,29 @@ TrafficProcess::TrafficProcess(sim::Simulator& sim,
       break;
     }
   }
+  for (const sim::EventKind kind :
+       {sim::kTrafficArrival, sim::kTrafficSourceToggle,
+        sim::kTrafficSourceArrival}) {
+    sim_.setHandler(kind, this, [](void* self, const sim::EventDesc& e) {
+      static_cast<TrafficProcess*>(self)->onEvent(e);
+    });
+  }
+}
+
+void TrafficProcess::onEvent(const sim::EventDesc& e) {
+  switch (e.kind) {
+    case sim::kTrafficArrival:
+      arrival();
+      return;
+    case sim::kTrafficSourceToggle:
+      phaseFlip(static_cast<std::size_t>(e.u0));
+      return;
+    case sim::kTrafficSourceArrival:
+      sourceArrival(static_cast<std::size_t>(e.u0), e.u1);
+      return;
+    default:
+      throw std::logic_error{"TrafficProcess::onEvent: not a traffic kind"};
+  }
 }
 
 double TrafficProcess::rateAt(sim::SimTime t) const {
@@ -171,8 +189,7 @@ void TrafficProcess::scheduleArrival() {
   const sim::SimTime at = std::max(params_.start, sim_.now()) +
                           rng_.exponential(1.0 / maxRate_);
   if (at >= params_.horizon) return;  // chain ends inside the horizon
-  sim_.scheduleAt(at, trafficDesc(ckpt::kTrafficArrival),
-                  [this] { arrival(); });
+  sim_.scheduleAt(at, trafficDesc(sim::kTrafficArrival));
 }
 
 void TrafficProcess::arrival() {
@@ -211,9 +228,9 @@ void TrafficProcess::togglePhase(std::size_t s) {
   const sim::SimTime at =
       std::max(params_.start, sim_.now()) + src.rng.exponential(mean);
   if (at >= params_.horizon) return;
-  sim::EventDesc desc = trafficDesc(ckpt::kTrafficSourceToggle);
+  sim::EventDesc desc = trafficDesc(sim::kTrafficSourceToggle);
   desc.u0 = static_cast<std::uint64_t>(s);
-  sim_.scheduleAt(at, desc, [this, s] { phaseFlip(s); });
+  sim_.scheduleAt(at, desc);
 }
 
 void TrafficProcess::phaseFlip(std::size_t s) {
@@ -237,11 +254,10 @@ void TrafficProcess::scheduleSourceArrival(std::size_t s) {
   const sim::SimTime at = std::max(params_.start, sim_.now()) +
                           src.rng.exponential(1.0 / onRate);
   if (at >= params_.horizon) return;
-  sim::EventDesc desc = trafficDesc(ckpt::kTrafficSourceArrival);
+  sim::EventDesc desc = trafficDesc(sim::kTrafficSourceArrival);
   desc.u0 = static_cast<std::uint64_t>(s);
   desc.u1 = src.epoch;
-  sim_.scheduleAt(at, desc,
-                  [this, s, epoch = src.epoch] { sourceArrival(s, epoch); });
+  sim_.scheduleAt(at, desc);
 }
 
 void TrafficProcess::sourceArrival(std::size_t s, std::uint64_t epoch) {
@@ -286,34 +302,6 @@ void TrafficProcess::restoreState(ckpt::Decoder& d) {
   }
   generated_ = d.u64();
   thinned_ = d.u64();
-}
-
-void TrafficProcess::restoreArrivalEvent(const sim::EventKey& key) {
-  sim_.scheduleKeyed(key, trafficDesc(ckpt::kTrafficArrival),
-                     [this] { arrival(); });
-}
-
-void TrafficProcess::restoreToggleEvent(const sim::EventKey& key,
-                                        std::size_t s) {
-  if (s >= sources_.size()) {
-    throw std::runtime_error{"TrafficProcess: toggle event for bad source"};
-  }
-  sim::EventDesc desc = trafficDesc(ckpt::kTrafficSourceToggle);
-  desc.u0 = static_cast<std::uint64_t>(s);
-  sim_.scheduleKeyed(key, desc, [this, s] { phaseFlip(s); });
-}
-
-void TrafficProcess::restoreSourceArrivalEvent(const sim::EventKey& key,
-                                               std::size_t s,
-                                               std::uint64_t epoch) {
-  if (s >= sources_.size()) {
-    throw std::runtime_error{"TrafficProcess: arrival event for bad source"};
-  }
-  sim::EventDesc desc = trafficDesc(ckpt::kTrafficSourceArrival);
-  desc.u0 = static_cast<std::uint64_t>(s);
-  desc.u1 = epoch;
-  sim_.scheduleKeyed(key, desc,
-                     [this, s, epoch] { sourceArrival(s, epoch); });
 }
 
 }  // namespace glr::experiment

@@ -67,15 +67,14 @@ struct TrafficSpec {
 /// traffic population; past the cap each pair is drawn directly (uniform
 /// src, uniform dst != src — the same distribution when messages are few
 /// relative to pairs) without materialising anything.
-void schedulePaperWorkload(sim::Simulator& sim,
-                           const std::vector<routing::DtnAgent*>& agents,
-                           int trafficNodes, int numMessages,
-                           double trafficStart, double messageInterval,
-                           sim::Rng trafficRng);
+/// Each message is a kTrafficPaperArrival record that net::World routes to
+/// the source node's agent.
+void schedulePaperWorkload(sim::Simulator& sim, int trafficNodes,
+                           int numMessages, double trafficStart,
+                           double messageInterval, sim::Rng trafficRng);
 
-/// Owns the generator events of one stochastic traffic model. Must outlive
-/// the simulation run (scheduled arrivals close over its state), like
-/// net::ChurnProcess.
+/// Owns the generator events of one stochastic traffic model and registers
+/// their kinds. Must outlive the simulation run, like net::ChurnProcess.
 class TrafficProcess {
  public:
   struct Params {
@@ -105,13 +104,12 @@ class TrafficProcess {
   /// Checkpoint support: generator RNG(s), per-source phase/epoch state and
   /// the generated/thinned counters. Construction-derived knobs (maxRate_,
   /// flash window, hotCount_) are re-derived from the config, not stored.
-  /// Pending generator events are rebuilt via the restore*Event methods.
   void saveState(ckpt::Encoder& e) const;
   void restoreState(ckpt::Decoder& d);
-  void restoreArrivalEvent(const sim::EventKey& key);
-  void restoreToggleEvent(const sim::EventKey& key, std::size_t s);
-  void restoreSourceArrivalEvent(const sim::EventKey& key, std::size_t s,
-                                 std::uint64_t epoch);
+
+  /// ON/OFF sources: a kTrafficSource* record must name an index below this
+  /// (checked when a checkpoint is restored; 0 for the other models).
+  [[nodiscard]] std::size_t sourceCount() const { return sources_.size(); }
 
  private:
   enum class Model { kPoisson, kOnOff, kHotspot, kFlashCrowd };
@@ -124,10 +122,11 @@ class TrafficProcess {
     sim::Rng rng;
   };
 
+  /// Runs one generator event (kTrafficArrival .. kTrafficSourceArrival).
+  void onEvent(const sim::EventDesc& e);
   void scheduleArrival();              // kPoisson / kHotspot / kFlashCrowd
   void arrival();
   void togglePhase(std::size_t s);     // kOnOff
-  /// Phase-toggle event body (named so restore recreates the callback).
   void phaseFlip(std::size_t s);
   void scheduleSourceArrival(std::size_t s);
   void sourceArrival(std::size_t s, std::uint64_t epoch);

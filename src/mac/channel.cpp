@@ -4,9 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/payload_codec.hpp"
 #include "mac/mac.hpp"
+#include "sim/event_kinds.hpp"
 
 namespace glr::mac {
 
@@ -14,7 +14,7 @@ namespace {
 
 sim::EventDesc txEndDesc(std::uint64_t txId) {
   sim::EventDesc d;
-  d.kind = ckpt::kChannelTxEnd;
+  d.kind = sim::kChannelTxEnd;
   d.u0 = txId;
   return d;
 }
@@ -36,6 +36,10 @@ Channel::Channel(sim::Simulator& sim, const phy::PropagationModel& model,
   if (!positionOf_) {
     throw std::invalid_argument{"Channel: positionOf callback required"};
   }
+  sim_.setHandler(sim::kChannelTxEnd, this,
+                  [](void* self, const sim::EventDesc& d) {
+                    static_cast<Channel*>(self)->finishTransmission(d.u0);
+                  });
   csMaxRangeShared_ = model_.maxRangeFor(txPowerW_, thresholds_.csThresholdW);
 }
 
@@ -175,8 +179,7 @@ void Channel::startTransmission(int sender, Frame frame, double duration) {
   history_.push_back(std::move(tx));
   ++stats_.framesSent;
   stats_.airTimeSeconds += duration;
-  sim_.schedule(duration, txEndDesc(txId),
-                [this, txId] { finishTransmission(txId); });
+  sim_.schedule(duration, txEndDesc(txId));
 }
 
 bool Channel::mediumBusy(int nodeId) const {
@@ -417,16 +420,6 @@ void Channel::restoreState(ckpt::Decoder& d) {
   // the restored clock (pure superset cache — see the header comment).
   indexGrid_.reset();
   indexBuiltAt_ = -1.0;
-}
-
-void Channel::restoreTxEndEvent(const sim::EventKey& key, std::uint64_t txId) {
-  if (txId >= nextTxId_) {
-    throw std::runtime_error{
-        "checkpoint: tx-end event names transmission " + std::to_string(txId) +
-        " but only " + std::to_string(nextTxId_) + " were ever started"};
-  }
-  sim_.scheduleKeyed(key, txEndDesc(txId),
-                     [this, txId] { finishTransmission(txId); });
 }
 
 }  // namespace glr::mac

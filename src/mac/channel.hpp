@@ -64,9 +64,14 @@ class Channel {
   using PositionBatchFn =
       std::function<void(const int* ids, std::size_t n, geom::Point2* out)>;
 
+  /// Registers the kChannelTxEnd handler (u0 = transmission id), so the
+  /// channel must outlive the run and stay put.
   Channel(sim::Simulator& sim, const phy::PropagationModel& model,
           phy::RadioThresholds thresholds, double txPowerW,
           PositionFn positionOf);
+
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
   /// Registers a MAC endpoint; its id must be dense from 0.
   void attach(Mac* mac);
@@ -140,9 +145,11 @@ class Channel {
   void saveState(ckpt::Encoder& e) const;
   void restoreState(ckpt::Decoder& d);
 
-  /// Re-creates a pending transmission-end event under its original key
-  /// (see checkpoint/event_kinds.hpp kChannelTxEnd, u0 = txId).
-  void restoreTxEndEvent(const sim::EventKey& key, std::uint64_t txId);
+  /// Transmissions ever started: a kChannelTxEnd record must name an id
+  /// below this (checked when a checkpoint is restored).
+  [[nodiscard]] std::uint64_t transmissionsStarted() const {
+    return nextTxId_;
+  }
 
  private:
   struct ActiveTx {

@@ -5,14 +5,14 @@
 #include <stdexcept>
 #include <utility>
 
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/payload_codec.hpp"
+#include "sim/event_kinds.hpp"
 
 namespace glr::mac {
 
 namespace {
 
-sim::EventDesc macDesc(ckpt::EventKind kind, int self) {
+sim::EventDesc macDesc(sim::EventKind kind, int self) {
   sim::EventDesc d;
   d.kind = kind;
   d.i0 = self;
@@ -66,8 +66,37 @@ void Mac::scheduleAttempt() {
     return;
   }
   attemptScheduled_ = true;
-  attemptHandle_ = sim_.schedule(0.0, macDesc(ckpt::kMacAttempt, self_),
-                                 [this] { attempt(); });
+  attemptHandle_ = sim_.schedule(0.0, macDesc(sim::kMacAttempt, self_));
+}
+
+void Mac::onEvent(const sim::EventDesc& e) {
+  switch (e.kind) {
+    case sim::kMacAttempt:
+      attempt();
+      return;
+    case sim::kMacBackoffExpire:
+      onBackoffExpire();
+      return;
+    case sim::kMacTxEnd:
+      onDataTxEnd(e.b0 != 0, e.u0);
+      return;
+    case sim::kMacAckTimeout:
+      onAckTimeout();
+      return;
+    case sim::kMacAckReply:
+      sendAckReply(e.i1, e.u0, e.f0, e.u1);
+      return;
+    default:
+      throw std::logic_error{"Mac::onEvent: not a MAC event kind"};
+  }
+}
+
+void Mac::adoptRestoredTimer(const sim::EventDesc& e, sim::EventHandle h) {
+  if (e.kind == sim::kMacAckTimeout) {
+    ackTimeoutHandle_ = h;
+  } else if (e.kind == sim::kMacAttempt || e.kind == sim::kMacBackoffExpire) {
+    attemptHandle_ = h;
+  }
 }
 
 void Mac::attempt() {
@@ -83,17 +112,15 @@ void Mac::attempt() {
         std::max(channel_.nextIdleHint(self_), sim_.now());
     attemptHandle_ = sim_.scheduleAt(
         idleAt + rng_.uniform(0.0, params_.slotTime),
-        macDesc(ckpt::kMacAttempt, self_), [this] { attempt(); });
+        macDesc(sim::kMacAttempt, self_));
     return;
   }
   const int cw = contentionWindow(queue_.front().attempts);
   const double backoff =
       static_cast<double>(rng_.below(static_cast<std::uint64_t>(cw) + 1)) *
       params_.slotTime;
-  attemptHandle_ =
-      sim_.schedule(params_.difs + backoff,
-                    macDesc(ckpt::kMacBackoffExpire, self_),
-                    [this] { onBackoffExpire(); });
+  attemptHandle_ = sim_.schedule(params_.difs + backoff,
+                                 macDesc(sim::kMacBackoffExpire, self_));
 }
 
 void Mac::onBackoffExpire() {
@@ -130,19 +157,19 @@ void Mac::transmitHead() {
   if (out.attempts > 0) ++stats_.retries;
 
   channel_.startTransmission(self_, std::move(frame), duration);
-  sim::EventDesc desc = macDesc(ckpt::kMacTxEnd, self_);
+  sim::EventDesc desc = macDesc(sim::kMacTxEnd, self_);
   desc.b0 = broadcast ? 0 : 1;  // expectAck
   desc.u0 = radioEpoch_;
-  sim_.schedule(duration, desc, [this, broadcast, epoch = radioEpoch_] {
-    onDataTxEnd(!broadcast, epoch);
-  });
+  sim_.schedule(duration, desc);
 }
 
 void Mac::onDataTxEnd(bool expectAck, std::uint64_t epoch) {
   transmitting_ = false;
-  if (epoch != radioEpoch_) {
+  if (epoch != radioEpoch_ || queue_.empty()) {
     // Radio toggled mid-frame: that head was flushed. If we are back up
-    // with newly queued traffic, restart contention for it.
+    // with newly queued traffic, restart contention for it. (A live run
+    // never ends a frame of the current epoch with an empty queue; a
+    // tampered checkpoint's record can, and is treated the same way.)
     scheduleAttempt();
     return;
   }
@@ -155,8 +182,7 @@ void Mac::onDataTxEnd(bool expectAck, std::uint64_t epoch) {
   const double ackTimeout = params_.sifs + frameDuration(params_.ackBytes) +
                             2.0 * params_.slotTime + 20e-6;
   ackTimeoutHandle_ =
-      sim_.schedule(ackTimeout, macDesc(ckpt::kMacAckTimeout, self_),
-                    [this] { onAckTimeout(); });
+      sim_.schedule(ackTimeout, macDesc(sim::kMacAckTimeout, self_));
 }
 
 void Mac::onAckTimeout() {
@@ -225,19 +251,13 @@ void Mac::onFrameReceived(const Frame& frame) {
   const bool unicastToMe = frame.dst == self_;
   if (unicastToMe) {
     // Reply with an ACK after SIFS (ACKs skip contention by design). The
-    // lambda captures only the scalars and builds the Frame when it fires so
-    // the closure stays inside the kernel's inline-callback budget.
-    const double ackDur = frameDuration(params_.ackBytes);
-    sim::EventDesc desc = macDesc(ckpt::kMacAckReply, self_);
+    // record carries only the scalars; the Frame is built when it fires.
+    sim::EventDesc desc = macDesc(sim::kMacAckReply, self_);
     desc.i1 = frame.src;
     desc.u0 = frame.seq;
     desc.u1 = radioEpoch_;
-    desc.f0 = ackDur;
-    sim_.schedule(params_.sifs, desc,
-                  [this, dst = frame.src, seq = frame.seq, ackDur,
-                   epoch = radioEpoch_] {
-                    sendAckReply(dst, seq, ackDur, epoch);
-                  });
+    desc.f0 = frameDuration(params_.ackBytes);
+    sim_.schedule(params_.sifs, desc);
   } else if (frame.dst != net::kBroadcast) {
     return;  // unicast for someone else
   }
@@ -386,46 +406,6 @@ void Mac::restoreState(ckpt::Decoder& d) {
   // to cancel the rebuilt events.
   attemptHandle_ = {};
   ackTimeoutHandle_ = {};
-}
-
-void Mac::restoreAttemptEvent(const sim::EventKey& key) {
-  attemptHandle_ = sim_.scheduleKeyed(key, macDesc(ckpt::kMacAttempt, self_),
-                                      [this] { attempt(); });
-}
-
-void Mac::restoreBackoffEvent(const sim::EventKey& key) {
-  attemptHandle_ =
-      sim_.scheduleKeyed(key, macDesc(ckpt::kMacBackoffExpire, self_),
-                         [this] { onBackoffExpire(); });
-}
-
-void Mac::restoreTxEndEvent(const sim::EventKey& key, bool expectAck,
-                            std::uint64_t epoch) {
-  sim::EventDesc desc = macDesc(ckpt::kMacTxEnd, self_);
-  desc.b0 = expectAck ? 1 : 0;
-  desc.u0 = epoch;
-  sim_.scheduleKeyed(key, desc, [this, expectAck, epoch] {
-    onDataTxEnd(expectAck, epoch);
-  });
-}
-
-void Mac::restoreAckTimeoutEvent(const sim::EventKey& key) {
-  ackTimeoutHandle_ =
-      sim_.scheduleKeyed(key, macDesc(ckpt::kMacAckTimeout, self_),
-                         [this] { onAckTimeout(); });
-}
-
-void Mac::restoreAckReplyEvent(const sim::EventKey& key, int dst,
-                               std::uint64_t seq, double ackDur,
-                               std::uint64_t epoch) {
-  sim::EventDesc desc = macDesc(ckpt::kMacAckReply, self_);
-  desc.i1 = dst;
-  desc.u0 = seq;
-  desc.u1 = epoch;
-  desc.f0 = ackDur;
-  sim_.scheduleKeyed(key, desc, [this, dst, seq, ackDur, epoch] {
-    sendAckReply(dst, seq, ackDur, epoch);
-  });
 }
 
 }  // namespace glr::mac

@@ -109,22 +109,20 @@ class Mac {
 
   /// Checkpoint support: interface queue (packets by content), contention/
   /// ACK state machine flags, radio gate + epoch, recent-tx ring, duplicate
-  /// table, RNG stream and counters. Event handles are rebuilt by the
-  /// restore*Event methods below, not serialized.
+  /// table, RNG stream and counters. Event handles are not serialized:
+  /// restore re-binds them through adoptRestoredTimer.
   void saveState(ckpt::Encoder& e) const;
   void restoreState(ckpt::Decoder& d);
 
-  /// Restore-path event rebuilders (see checkpoint/event_kinds.hpp). The
-  /// attempt/backoff/ack-timeout variants re-arm the matching cancellation
-  /// handle so a later radio-down flush can still cancel them.
-  void restoreAttemptEvent(const sim::EventKey& key);
-  void restoreBackoffEvent(const sim::EventKey& key);
-  void restoreTxEndEvent(const sim::EventKey& key, bool expectAck,
-                         std::uint64_t epoch);
-  void restoreAckTimeoutEvent(const sim::EventKey& key);
-  void restoreAckReplyEvent(const sim::EventKey& key, int dst,
-                            std::uint64_t seq, double ackDur,
-                            std::uint64_t epoch);
+  /// Runs one of this MAC's events (kMacAttempt .. kMacAckReply; see
+  /// sim/event_kinds.hpp). net::World routes them here by node id.
+  void onEvent(const sim::EventDesc& e);
+
+  /// Restore support: `h` is the re-created event `e` of this MAC. Attempt,
+  /// backoff and ACK-timeout events re-arm the matching cancellation handle
+  /// so a later radio-down flush can still cancel them; other kinds hold no
+  /// handle and are ignored.
+  void adoptRestoredTimer(const sim::EventDesc& e, sim::EventHandle h);
 
  private:
   struct Outgoing {

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
+#include "sim/event_kinds.hpp"
 
 namespace glr::net {
 
@@ -14,7 +14,7 @@ namespace {
 
 sim::EventDesc toggleDesc(std::size_t idx) {
   sim::EventDesc d;
-  d.kind = ckpt::kChurnToggle;
+  d.kind = sim::kChurnToggle;
   d.u0 = static_cast<std::uint64_t>(idx);
   return d;
 }
@@ -44,6 +44,11 @@ ChurnProcess::ChurnProcess(World& world, Params params, sim::Rng rng)
     state.rng = rng.fork(i);
     nodes_.push_back(state);
   }
+  world.sim().setHandler(sim::kChurnToggle, this,
+                         [](void* self, const sim::EventDesc& e) {
+                           static_cast<ChurnProcess*>(self)->toggle(
+                               static_cast<std::size_t>(e.u0));
+                         });
 }
 
 void ChurnProcess::start() {
@@ -56,7 +61,7 @@ void ChurnProcess::scheduleNext(std::size_t idx) {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at =
       std::max(params_.start, sim.now()) + node.rng.exponential(mean);
-  sim.scheduleAt(at, toggleDesc(idx), [this, idx] { toggle(idx); });
+  sim.scheduleAt(at, toggleDesc(idx));
 }
 
 void ChurnProcess::saveState(ckpt::Encoder& e) const {
@@ -87,17 +92,6 @@ void ChurnProcess::restoreState(ckpt::Decoder& d) {
     node.rng.setState(state);
   }
   toggles_ = d.u64();
-}
-
-void ChurnProcess::restoreToggleEvent(const sim::EventKey& key,
-                                      std::size_t idx) {
-  if (idx >= nodes_.size()) {
-    throw std::runtime_error{
-        "checkpoint: churn toggle event names node index " +
-        std::to_string(idx) + " of " + std::to_string(nodes_.size())};
-  }
-  world_.sim().scheduleKeyed(key, toggleDesc(idx),
-                             [this, idx] { toggle(idx); });
 }
 
 void ChurnProcess::toggle(std::size_t idx) {

@@ -35,8 +35,8 @@ class ChurnProcess {
 
   /// Selects round(fraction * numNodes) churning nodes (at least one),
   /// spread uniformly across the id space so churn hits traffic endpoints
-  /// and relays alike. Must outlive the simulation run (it owns the state
-  /// the scheduled toggle events close over).
+  /// and relays alike. Registers kChurnToggle (u0 = index into the
+  /// churning nodes), so it must outlive the simulation run.
   ChurnProcess(World& world, Params params, sim::Rng rng);
 
   ChurnProcess(const ChurnProcess&) = delete;
@@ -52,10 +52,6 @@ class ChurnProcess {
   /// The churning-node id set is construction-derived (verified on restore).
   void saveState(ckpt::Encoder& e) const;
   void restoreState(ckpt::Decoder& d);
-
-  /// Re-creates a pending toggle event under its original key (restore
-  /// path; see checkpoint/event_kinds.hpp kChurnToggle, u0 = node index).
-  void restoreToggleEvent(const sim::EventKey& key, std::size_t idx);
 
  private:
   struct NodeState {

@@ -9,14 +9,14 @@
 #include <utility>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
+#include "sim/event_kinds.hpp"
 #include "mac/channel.hpp"
 
 namespace glr::net {
 
 namespace {
 
-sim::EventDesc faultDesc(ckpt::EventKind kind) {
+sim::EventDesc faultDesc(sim::EventKind kind) {
   sim::EventDesc d;
   d.kind = kind;
   return d;
@@ -151,6 +151,44 @@ FaultProcess::FaultProcess(World& world, Params params, sim::Rng rng)
     adversary_.emplace(world.numNodes(), params.adversary, rng.fork(4));
     flapRng_ = rng.fork(5);
   }
+  // Flap events exist only with an adversary model, so only then is their
+  // kind registered.
+  const auto onEvent = [](void* self, const sim::EventDesc& e) {
+    static_cast<FaultProcess*>(self)->onEvent(e);
+  };
+  for (const sim::EventKind kind :
+       {sim::kFaultBurstNext, sim::kFaultBurstEnd, sim::kFaultStallNext,
+        sim::kFaultStallEnd}) {
+    world.sim().setHandler(kind, this, onEvent);
+  }
+  if (adversary_.has_value()) {
+    world.sim().setHandler(sim::kFaultFlap, this, onEvent);
+  }
+}
+
+void FaultProcess::onEvent(const sim::EventDesc& e) {
+  switch (e.kind) {
+    case sim::kFaultBurstNext:
+      burstArrive();
+      return;
+    case sim::kFaultBurstEnd:
+      --burstsActive_;
+      return;
+    case sim::kFaultStallNext:
+      stallArrive();
+      return;
+    case sim::kFaultStallEnd:
+      stalled_[static_cast<std::size_t>(e.i0)] = 0;
+      world_.setRadioUp(e.i0, true);
+      return;
+    case sim::kFaultFlap:
+      adversary_->noteFlapTransition();
+      world_.setRadioUp(e.i0, e.b0 == 0);
+      scheduleFlap(e.i0, e.b0 == 0);
+      return;
+    default:
+      throw std::logic_error{"FaultProcess::onEvent: not a fault event kind"};
+  }
 }
 
 void FaultProcess::start() {
@@ -189,16 +227,14 @@ void FaultProcess::scheduleBurst() {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at = std::max(params_.start, sim.now()) +
                           burstRng_.exponential(1.0 / params_.burstRate);
-  sim.scheduleAt(at, faultDesc(ckpt::kFaultBurstNext),
-                 [this] { burstArrive(); });
+  sim.scheduleAt(at, faultDesc(sim::kFaultBurstNext));
 }
 
 void FaultProcess::burstArrive() {
   ++counters_.burstsStarted;
   ++burstsActive_;  // bursts can overlap; loss applies while any is open
   const double duration = burstRng_.exponential(params_.burstMean);
-  world_.sim().schedule(duration, faultDesc(ckpt::kFaultBurstEnd),
-                        [this] { burstEnd(); });
+  world_.sim().schedule(duration, faultDesc(sim::kFaultBurstEnd));
   scheduleBurst();
 }
 
@@ -206,8 +242,7 @@ void FaultProcess::scheduleStall() {
   sim::Simulator& sim = world_.sim();
   const sim::SimTime at = std::max(params_.start, sim.now()) +
                           stallRng_.exponential(1.0 / params_.stallRate);
-  sim.scheduleAt(at, faultDesc(ckpt::kFaultStallNext),
-                 [this] { stallArrive(); });
+  sim.scheduleAt(at, faultDesc(sim::kFaultStallNext));
 }
 
 void FaultProcess::stallArrive() {
@@ -219,17 +254,11 @@ void FaultProcess::stallArrive() {
     stalled_[static_cast<std::size_t>(victim)] = 1;
     ++counters_.stallsStarted;
     world_.setRadioUp(victim, false);
-    sim::EventDesc desc = faultDesc(ckpt::kFaultStallEnd);
+    sim::EventDesc desc = faultDesc(sim::kFaultStallEnd);
     desc.i0 = victim;
-    world_.sim().schedule(duration, desc,
-                          [this, victim] { stallEnd(victim); });
+    world_.sim().schedule(duration, desc);
   }
   scheduleStall();
-}
-
-void FaultProcess::stallEnd(int victim) {
-  stalled_[static_cast<std::size_t>(victim)] = 0;
-  world_.setRadioUp(victim, true);
 }
 
 void FaultProcess::scheduleFlap(int node, bool up) {
@@ -242,16 +271,10 @@ void FaultProcess::scheduleFlap(int node, bool up) {
       up ? params_.adversary.flapUpMean : params_.adversary.flapDownMean;
   const sim::SimTime at =
       std::max(params_.start, sim.now()) + flapRng_.exponential(mean);
-  sim::EventDesc desc = faultDesc(ckpt::kFaultFlap);
+  sim::EventDesc desc = faultDesc(sim::kFaultFlap);
   desc.i0 = node;
   desc.b0 = up ? 1 : 0;
-  sim.scheduleAt(at, desc, [this, node, up] { flapToggle(node, up); });
-}
-
-void FaultProcess::flapToggle(int node, bool up) {
-  adversary_->noteFlapTransition();
-  world_.setRadioUp(node, !up);
-  scheduleFlap(node, !up);
+  sim.scheduleAt(at, desc);
 }
 
 void AdversaryModel::saveState(ckpt::Encoder& e) const {
@@ -321,46 +344,6 @@ void FaultProcess::restoreState(ckpt::Decoder& d) {
   counters_.framesLost = d.u64();
   counters_.framesCorrupted = d.u64();
   counters_.stallsStarted = d.u64();
-}
-
-void FaultProcess::restoreBurstNextEvent(const sim::EventKey& key) {
-  world_.sim().scheduleKeyed(key, faultDesc(ckpt::kFaultBurstNext),
-                             [this] { burstArrive(); });
-}
-
-void FaultProcess::restoreBurstEndEvent(const sim::EventKey& key) {
-  world_.sim().scheduleKeyed(key, faultDesc(ckpt::kFaultBurstEnd),
-                             [this] { burstEnd(); });
-}
-
-void FaultProcess::restoreStallNextEvent(const sim::EventKey& key) {
-  world_.sim().scheduleKeyed(key, faultDesc(ckpt::kFaultStallNext),
-                             [this] { stallArrive(); });
-}
-
-void FaultProcess::restoreStallEndEvent(const sim::EventKey& key, int victim) {
-  if (victim < 0 || static_cast<std::size_t>(victim) >= stalled_.size()) {
-    throw std::runtime_error{"checkpoint: stall-end event names node " +
-                             std::to_string(victim) + " of " +
-                             std::to_string(stalled_.size())};
-  }
-  sim::EventDesc desc = faultDesc(ckpt::kFaultStallEnd);
-  desc.i0 = victim;
-  world_.sim().scheduleKeyed(key, desc,
-                             [this, victim] { stallEnd(victim); });
-}
-
-void FaultProcess::restoreFlapEvent(const sim::EventKey& key, int node,
-                                    bool up) {
-  if (!adversary_.has_value()) {
-    throw std::runtime_error{
-        "checkpoint: flap event present but no adversary model is built"};
-  }
-  sim::EventDesc desc = faultDesc(ckpt::kFaultFlap);
-  desc.i0 = node;
-  desc.b0 = up ? 1 : 0;
-  world_.sim().scheduleKeyed(key, desc,
-                             [this, node, up] { flapToggle(node, up); });
 }
 
 }  // namespace glr::net

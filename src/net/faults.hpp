@@ -192,9 +192,10 @@ class FaultProcess {
   };
 
   /// Validates params (throws std::invalid_argument on out-of-range
-  /// values). Must outlive the run: scheduled fault events, the installed
-  /// delivery filter and the World's adversary pointer close over this
-  /// object.
+  /// values). Registers the fault event kinds (kFaultFlap only when an
+  /// adversary model is built). Must outlive the run: scheduled fault
+  /// events, the installed delivery filter and the World's adversary
+  /// pointer refer to this object.
   FaultProcess(World& world, Params params, sim::Rng rng);
 
   FaultProcess(const FaultProcess&) = delete;
@@ -217,14 +218,6 @@ class FaultProcess {
   void saveState(ckpt::Encoder& e) const;
   void restoreState(ckpt::Decoder& d);
 
-  /// Restore-path event rebuilders (see checkpoint/event_kinds.hpp):
-  /// each re-creates one pending fault event under its original key.
-  void restoreBurstNextEvent(const sim::EventKey& key);
-  void restoreBurstEndEvent(const sim::EventKey& key);
-  void restoreStallNextEvent(const sim::EventKey& key);
-  void restoreStallEndEvent(const sim::EventKey& key, int victim);
-  void restoreFlapEvent(const sim::EventKey& key, int node, bool up);
-
  private:
   /// Channel delivery filter: true = deliver. Draws in a fixed order
   /// (burst loss, then corruption) from the loss stream; the channel's
@@ -235,12 +228,10 @@ class FaultProcess {
   /// Schedules the next flap toggle for `node`; `up` is the state the radio
   /// is about to LEAVE (an up phase ends with a down toggle).
   void scheduleFlap(int node, bool up);
-  /// Event bodies, shared by the live schedulers and the restore path.
+  /// Runs one fault event (kFaultBurstNext .. kFaultFlap).
+  void onEvent(const sim::EventDesc& e);
   void burstArrive();
-  void burstEnd() { --burstsActive_; }
   void stallArrive();
-  void stallEnd(int victim);
-  void flapToggle(int node, bool up);
 
   World& world_;
   Params params_;

@@ -6,9 +6,9 @@
 #include <stdexcept>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
 #include "graph/id_slot_index.hpp"
+#include "sim/event_kinds.hpp"
 
 namespace glr::net {
 
@@ -16,7 +16,7 @@ namespace {
 
 sim::EventDesc helloDesc(int self) {
   sim::EventDesc d;
-  d.kind = ckpt::kHello;
+  d.kind = sim::kHello;
   d.i0 = self;
   return d;
 }
@@ -61,8 +61,7 @@ bool NeighborService::fresh(const NeighborRecord& r) const {
 
 void NeighborService::start() {
   // Desynchronize: first beacon at a uniform offset inside one interval.
-  sim_.schedule(rng_.uniform(0.0, params_.helloInterval), helloDesc(self_),
-                [this] { sendHello(); });
+  sim_.schedule(rng_.uniform(0.0, params_.helloInterval), helloDesc(self_));
 }
 
 void NeighborService::sendHello() {
@@ -115,7 +114,7 @@ void NeighborService::sendHello() {
   // Jittered periodic re-beacon (+/-10%) to avoid phase locking.
   const double next =
       params_.helloInterval * rng_.uniform(0.9, 1.1);
-  sim_.schedule(next, helloDesc(self_), [this] { sendHello(); });
+  sim_.schedule(next, helloDesc(self_));
 }
 
 void NeighborService::saveState(ckpt::Encoder& e) const {
@@ -162,10 +161,6 @@ void NeighborService::restoreState(ckpt::Decoder& d) {
   hellosSent_ = d.u64();
   hellosReceived_ = d.u64();
   helloSendFailures_ = d.u64();
-}
-
-void NeighborService::restoreHelloEvent(const sim::EventKey& key) {
-  sim_.scheduleKeyed(key, helloDesc(self_), [this] { sendHello(); });
 }
 
 bool NeighborService::handlePacket(const Packet& packet, int /*fromMac*/) {

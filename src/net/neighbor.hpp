@@ -127,9 +127,9 @@ class NeighborService {
   void saveState(ckpt::Encoder& e) const;
   void restoreState(ckpt::Decoder& d);
 
-  /// Re-creates a pending hello beacon event under its original key
-  /// (restore path; see checkpoint/event_kinds.hpp kHello).
-  void restoreHelloEvent(const sim::EventKey& key);
+  /// The kHello timer fired: beacons once and re-arms the timer. The
+  /// owning agent calls it from its Agent::onEvent.
+  void sendHello();
 
  private:
   struct NeighborRecord {
@@ -138,7 +138,6 @@ class NeighborService {
     std::vector<HelloPayload::Entry> reported;
   };
 
-  void sendHello();
   [[nodiscard]] bool fresh(const NeighborRecord& r) const;
 
   sim::Simulator& sim_;

@@ -3,20 +3,14 @@
 #include <stdexcept>
 #include <string>
 
-#include "checkpoint/event_kinds.hpp"
+#include "sim/event_kinds.hpp"
 
 namespace glr::net {
 
-namespace {
-
-sim::EventDesc startDesc(int id) {
-  sim::EventDesc d;
-  d.kind = ckpt::kAgentStart;
-  d.i0 = id;
-  return d;
+void Agent::onEvent(const sim::EventDesc& e) {
+  throw std::runtime_error{"Agent: no handler for event kind " +
+                           std::to_string(e.kind)};
 }
-
-}  // namespace
 
 World::World(sim::Simulator& sim, const phy::PropagationModel& model,
              const phy::RadioParams& radio, mac::MacParams macParams)
@@ -36,6 +30,28 @@ World::World(sim::Simulator& sim, const phy::PropagationModel& model,
           out[k] = cachedPositionAt(static_cast<std::size_t>(ids[k]), now);
         }
       });
+  // Node-scoped records name live nodes: schedule sites use their own id,
+  // and restore checks every i0 against the population.
+  for (const sim::EventKind kind :
+       {sim::kMacAttempt, sim::kMacBackoffExpire, sim::kMacTxEnd,
+        sim::kMacAckTimeout, sim::kMacAckReply}) {
+    sim_.setHandler(kind, this, [](void* w, const sim::EventDesc& e) {
+      static_cast<World*>(w)->nodes_[static_cast<std::size_t>(e.i0)]
+          .mac->onEvent(e);
+    });
+  }
+  sim_.setHandler(sim::kAgentStart, this,
+                  [](void* w, const sim::EventDesc& e) {
+                    static_cast<World*>(w)->agentOf(e.i0).start();
+                  });
+  routeToAgents(sim::kHello);
+  routeToAgents(sim::kTrafficPaperArrival);
+}
+
+void World::routeToAgents(std::uint16_t kind) {
+  sim_.setHandler(kind, this, [](void* w, const sim::EventDesc& e) {
+    static_cast<World*>(w)->agentOf(e.i0).onEvent(e);
+  });
 }
 
 int World::addNode(std::unique_ptr<mobility::MobilityModel> mobility,
@@ -130,25 +146,16 @@ Agent& World::agentOf(int id) {
 void World::start() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].agent) {
-      Agent* raw = nodes_[i].agent.get();
-      sim_.schedule(0.0, startDesc(static_cast<int>(i)),
-                    [raw] { raw->start(); });
+      sim::EventDesc d;
+      d.kind = sim::kAgentStart;
+      d.i0 = static_cast<int>(i);
+      sim_.schedule(0.0, d);
     }
   }
 }
 
 void World::invalidatePositionCache() {
   for (sim::SimTime& at : posAt_) at = -1.0;
-}
-
-void World::restoreAgentStartEvent(const sim::EventKey& key, int id) {
-  Node& node = nodes_.at(static_cast<std::size_t>(id));
-  if (!node.agent) {
-    throw std::runtime_error{"checkpoint: agent-start event names node " +
-                             std::to_string(id) + " which has no agent"};
-  }
-  Agent* raw = node.agent.get();
-  sim_.scheduleKeyed(key, startDesc(id), [raw] { raw->start(); });
 }
 
 }  // namespace glr::net

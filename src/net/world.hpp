@@ -38,10 +38,18 @@ class Agent {
   /// typically drop neighbor state on a down transition — on wake it would
   /// be stale beyond the freshness horizon anyway.
   virtual void onRadioState(bool /*up*/) {}
+  /// Runs one of this node's agent-level events (hello beacons, protocol
+  /// timers, paper-workload arrivals; see sim/event_kinds.hpp), routed here
+  /// by World. The default refuses: an agent with no timers gets none.
+  virtual void onEvent(const sim::EventDesc& e);
 };
 
 /// Owns the simulator-facing pieces of one scenario: the channel and all
-/// nodes (mobility + MAC + agent).
+/// nodes (mobility + MAC + agent). It registers the node-scoped event kinds
+/// (i0 = node id) with the simulator at construction: MAC kinds go to
+/// macOf(i0).onEvent, kAgentStart to agentOf(i0).start(), and kHello and
+/// kTrafficPaperArrival to agentOf(i0).onEvent. Protocol timer kinds are
+/// routed the same way once their agent type asks (routeToAgents).
 class World {
  public:
   World(sim::Simulator& sim, const phy::PropagationModel& model,
@@ -132,9 +140,10 @@ class World {
   /// every built-in model, so mobility itself carries no serialized state).
   void invalidatePositionCache();
 
-  /// Re-creates a pending agent-start event under its original key (only
-  /// possible for a t = 0 checkpoint; see event_kinds.hpp kAgentStart).
-  void restoreAgentStartEvent(const sim::EventKey& key, int id);
+  /// Routes event kind `kind` to agentOf(i0).onEvent. Agent types call it
+  /// at construction for each of their timer kinds (idempotent), so a kind
+  /// no agent in the scenario owns stays unregistered.
+  void routeToAgents(std::uint16_t kind);
 
  private:
   struct Node {

@@ -4,8 +4,8 @@
 #include <stdexcept>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
+#include "sim/event_kinds.hpp"
 #include "trace/recorder.hpp"
 
 namespace glr::routing {
@@ -14,7 +14,7 @@ namespace {
 
 sim::EventDesc checkDesc(int self) {
   sim::EventDesc d;
-  d.kind = ckpt::kDirectCheck;
+  d.kind = sim::kDirectCheck;
   d.i0 = self;
   return d;
 }
@@ -34,12 +34,13 @@ DirectDeliveryAgent::DirectDeliveryAgent(net::World& world, int self,
                  [this] { return myPos(); }, params.hello, rng.fork(1)),
       buffer_(params.storageLimit, params.expectedBufferedCopies) {
   buffer_.setTrace(world_.trace(), self_);
+  world_.routeToAgents(sim::kDirectCheck);
 }
 
 void DirectDeliveryAgent::start() {
   neighbors_.start();
   world_.sim().schedule(rng_.uniform(0.0, params_.checkInterval),
-                        checkDesc(self_), [this] { check(); });
+                        checkDesc(self_));
 }
 
 void DirectDeliveryAgent::originate(int dstNode) {
@@ -79,8 +80,7 @@ void DirectDeliveryAgent::check() {
       ++sendRejects_;
     }
   }
-  world_.sim().schedule(params_.checkInterval, checkDesc(self_),
-                        [this] { check(); });
+  world_.sim().schedule(params_.checkInterval, checkDesc(self_));
 }
 
 void DirectDeliveryAgent::onPacket(const net::Packet& packet, int fromMac) {
@@ -120,19 +120,16 @@ void DirectDeliveryAgent::restoreState(ckpt::Decoder& d) {
   nextSeq_ = d.i32();
 }
 
-void DirectDeliveryAgent::restoreEvent(const sim::EventKey& key,
-                                       const sim::EventDesc& desc) {
-  switch (desc.kind) {
-    case ckpt::kHello:
-      neighbors_.restoreHelloEvent(key);
+void DirectDeliveryAgent::onEvent(const sim::EventDesc& e) {
+  switch (e.kind) {
+    case sim::kHello:
+      neighbors_.sendHello();
       return;
-    case ckpt::kDirectCheck:
-      world_.sim().scheduleKeyed(key, checkDesc(self_), [this] { check(); });
+    case sim::kDirectCheck:
+      check();
       return;
     default:
-      throw std::runtime_error{
-          "DirectDeliveryAgent: cannot restore event kind " +
-          std::to_string(static_cast<int>(desc.kind))};
+      DtnAgent::onEvent(e);
   }
 }
 

@@ -55,12 +55,11 @@ class DirectDeliveryAgent final : public DtnAgent {
   }
 
   /// Checkpoint support: hello service, buffer, delivered set, counters and
-  /// RNG. Pending events (hello beacon, delivery check) are rebuilt via
-  /// restoreEvent.
+  /// RNG.
   void saveState(ckpt::Encoder& e) const override;
   void restoreState(ckpt::Decoder& d) override;
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// kHello and kDirectCheck; the rest go to DtnAgent::onEvent.
+  void onEvent(const sim::EventDesc& e) override;
 
  private:
   void check();

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/event_kinds.hpp"
+
 namespace glr::routing {
 
 void DtnAgent::saveState(ckpt::Encoder& /*e*/) const {
@@ -14,10 +16,12 @@ void DtnAgent::restoreState(ckpt::Decoder& /*d*/) {
       "DtnAgent: this protocol does not implement checkpoint restore"};
 }
 
-void DtnAgent::restoreEvent(const sim::EventKey& /*key*/,
-                            const sim::EventDesc& /*desc*/) {
-  throw std::runtime_error{
-      "DtnAgent: this protocol does not implement event restore"};
+void DtnAgent::onEvent(const sim::EventDesc& e) {
+  if (e.kind == sim::kTrafficPaperArrival) {
+    originate(e.i1);
+    return;
+  }
+  net::Agent::onEvent(e);
 }
 
 }  // namespace glr::routing

@@ -68,11 +68,11 @@ class DtnAgent : public net::Agent {
   /// test stubs that never checkpoint don't have to implement them.)
   virtual void saveState(ckpt::Encoder& e) const;
   virtual void restoreState(ckpt::Decoder& d);
-  /// Re-creates one pending simulator event this agent owns, under its
-  /// original key. `desc` is the descriptor recorded at schedule time (see
-  /// checkpoint/event_kinds.hpp); agents throw on kinds they don't own.
-  virtual void restoreEvent(const sim::EventKey& key,
-                            const sim::EventDesc& desc);
+
+  /// Runs kTrafficPaperArrival (originate(i1)); other kinds go to
+  /// net::Agent::onEvent, which refuses them. Protocols override this for
+  /// their own timers and forward what they do not own here.
+  void onEvent(const sim::EventDesc& e) override;
 };
 
 }  // namespace glr::routing

@@ -4,8 +4,8 @@
 #include <stdexcept>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
+#include "sim/event_kinds.hpp"
 #include "trace/recorder.hpp"
 
 #include "net/faults.hpp"
@@ -16,7 +16,7 @@ namespace {
 
 sim::EventDesc exchangeDesc(int self) {
   sim::EventDesc d;
-  d.kind = ckpt::kEpidemicExchange;
+  d.kind = sim::kEpidemicExchange;
   d.i0 = self;
   return d;
 }
@@ -37,12 +37,13 @@ EpidemicAgent::EpidemicAgent(net::World& world, int self,
   buffer_.setTrace(world_.trace(), self_);
   neighbors_.setContactCallback(
       [this](int id) { sendSummary(id, /*full=*/true); });
+  world_.routeToAgents(sim::kEpidemicExchange);
 }
 
 void EpidemicAgent::start() {
   neighbors_.start();
   world_.sim().schedule(rng_.uniform(0.0, params_.exchangeCheckInterval),
-                        exchangeDesc(self_), [this] { exchangeTick(); });
+                        exchangeDesc(self_));
 }
 
 void EpidemicAgent::exchangeTick() {
@@ -62,8 +63,7 @@ void EpidemicAgent::exchangeTick() {
       sendSummary(j, /*full=*/false);
     }
   }
-  world_.sim().schedule(params_.exchangeCheckInterval, exchangeDesc(self_),
-                        [this] { exchangeTick(); });
+  world_.sim().schedule(params_.exchangeCheckInterval, exchangeDesc(self_));
 }
 
 void EpidemicAgent::sendSummary(int to, bool full) {
@@ -283,20 +283,16 @@ void EpidemicAgent::restoreState(ckpt::Decoder& d) {
   nextSeq_ = d.i32();
 }
 
-void EpidemicAgent::restoreEvent(const sim::EventKey& key,
-                                 const sim::EventDesc& desc) {
-  switch (desc.kind) {
-    case ckpt::kHello:
-      neighbors_.restoreHelloEvent(key);
+void EpidemicAgent::onEvent(const sim::EventDesc& e) {
+  switch (e.kind) {
+    case sim::kHello:
+      neighbors_.sendHello();
       return;
-    case ckpt::kEpidemicExchange:
-      world_.sim().scheduleKeyed(key, exchangeDesc(self_),
-                                 [this] { exchangeTick(); });
+    case sim::kEpidemicExchange:
+      exchangeTick();
       return;
     default:
-      throw std::runtime_error{
-          "EpidemicAgent: cannot restore event kind " +
-          std::to_string(static_cast<int>(desc.kind))};
+      DtnAgent::onEvent(e);
   }
 }
 

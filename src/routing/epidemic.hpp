@@ -105,12 +105,11 @@ class EpidemicAgent final : public DtnAgent {
   [[nodiscard]] const dtn::MessageBuffer& buffer() const { return buffer_; }
 
   /// Checkpoint support: hello service, buffer, delivered set, delta-offer
-  /// log/watermarks, request window, counters and RNG. Pending events
-  /// (hello beacon, exchange tick) are rebuilt via restoreEvent.
+  /// log/watermarks, request window, counters and RNG.
   void saveState(ckpt::Encoder& e) const override;
   void restoreState(ckpt::Decoder& d) override;
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// kHello and kEpidemicExchange; the rest go to DtnAgent::onEvent.
+  void onEvent(const sim::EventDesc& e) override;
 
  private:
   /// Offers message ids to `to`: those added after the per-neighbor

@@ -4,8 +4,8 @@
 #include <stdexcept>
 
 #include "checkpoint/codec.hpp"
-#include "checkpoint/event_kinds.hpp"
 #include "checkpoint/message_codec.hpp"
+#include "sim/event_kinds.hpp"
 #include "trace/recorder.hpp"
 
 #include "net/faults.hpp"
@@ -16,7 +16,7 @@ namespace {
 
 sim::EventDesc expiryDesc(int self) {
   sim::EventDesc d;
-  d.kind = ckpt::kSprayExpiry;
+  d.kind = sim::kSprayExpiry;
   d.i0 = self;
   return d;
 }
@@ -36,6 +36,9 @@ SprayWaitAgent::SprayWaitAgent(net::World& world, int self,
       buffer_(params.storageLimit, params.expectedBufferedCopies) {
   buffer_.setTrace(world_.trace(), self_);
   neighbors_.setContactCallback([this](int id) { onContact(id); });
+  // The expiry sweep exists only with a TTL; without one its kind stays
+  // unregistered, so restore refuses a stray expiry record.
+  if (params_.messageTtl > 0.0) world_.routeToAgents(sim::kSprayExpiry);
 }
 
 void SprayWaitAgent::start() {
@@ -44,7 +47,7 @@ void SprayWaitAgent::start() {
   // execute a bit-identical event sequence to the historical behavior.
   if (params_.messageTtl > 0.0) {
     world_.sim().schedule(rng_.uniform(0.0, params_.expiryCheckInterval),
-                          expiryDesc(self_), [this] { expiryTick(); });
+                          expiryDesc(self_));
   }
 }
 
@@ -59,8 +62,7 @@ void SprayWaitAgent::expiryTick() {
       }
     }
   }
-  world_.sim().schedule(params_.expiryCheckInterval, expiryDesc(self_),
-                        [this] { expiryTick(); });
+  world_.sim().schedule(params_.expiryCheckInterval, expiryDesc(self_));
 }
 
 void SprayWaitAgent::originate(int dstNode) {
@@ -236,24 +238,16 @@ void SprayWaitAgent::restoreState(ckpt::Decoder& d) {
   nextSeq_ = d.i32();
 }
 
-void SprayWaitAgent::restoreEvent(const sim::EventKey& key,
-                                  const sim::EventDesc& desc) {
-  switch (desc.kind) {
-    case ckpt::kHello:
-      neighbors_.restoreHelloEvent(key);
+void SprayWaitAgent::onEvent(const sim::EventDesc& e) {
+  switch (e.kind) {
+    case sim::kHello:
+      neighbors_.sendHello();
       return;
-    case ckpt::kSprayExpiry:
-      if (params_.messageTtl <= 0.0) {
-        throw std::runtime_error{
-            "SprayWaitAgent: expiry event restored but no TTL configured"};
-      }
-      world_.sim().scheduleKeyed(key, expiryDesc(self_),
-                                 [this] { expiryTick(); });
+    case sim::kSprayExpiry:
+      expiryTick();
       return;
     default:
-      throw std::runtime_error{
-          "SprayWaitAgent: cannot restore event kind " +
-          std::to_string(static_cast<int>(desc.kind))};
+      DtnAgent::onEvent(e);
   }
 }
 

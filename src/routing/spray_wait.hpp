@@ -73,12 +73,11 @@ class SprayWaitAgent final : public DtnAgent {
   }
 
   /// Checkpoint support: hello service, buffer, per-id copy budgets,
-  /// delivered set, counters and RNG. Pending events (hello beacon, expiry
-  /// sweep when a TTL is configured) are rebuilt via restoreEvent.
+  /// delivered set, counters and RNG.
   void saveState(ckpt::Encoder& e) const override;
   void restoreState(ckpt::Decoder& d) override;
-  void restoreEvent(const sim::EventKey& key,
-                    const sim::EventDesc& desc) override;
+  /// kHello and kSprayExpiry; the rest go to DtnAgent::onEvent.
+  void onEvent(const sim::EventDesc& e) override;
 
  private:
   void onContact(int id);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace glr::sim {
@@ -16,6 +17,26 @@ std::uint64_t steadyNowNs() {
 }
 
 }  // namespace
+
+void Simulator::setHandler(std::uint16_t kind, void* ctx,
+                           void (*fn)(void* ctx, const EventDesc& desc)) {
+  if (kind == 0 || kind >= kMaxKinds || fn == nullptr) {
+    throw std::logic_error{"Simulator::setHandler: bad kind " +
+                           std::to_string(kind) + " or null handler"};
+  }
+  EventHandler& h = handlers_[kind];
+  if (h.fn != nullptr && (h.ctx != ctx || h.fn != fn)) {
+    throw std::logic_error{"Simulator::setHandler: kind " +
+                           std::to_string(kind) + " already has a handler"};
+  }
+  h = EventHandler{ctx, fn};
+}
+
+void Simulator::throwUnhandled(const char* where, std::uint16_t kind) {
+  throw std::invalid_argument{std::string{"Simulator::"} + where +
+                              ": no handler registered for event kind " +
+                              std::to_string(kind)};
+}
 
 void Simulator::heapPopTop() {
   const EventKey last = heapKeys_.back();
@@ -134,8 +155,8 @@ void Simulator::reserve(std::size_t events) {
 }
 
 std::uint64_t Simulator::fireTop() {
-  // One peek serves the stale check, the callback fetch, and the clock
-  // bump: the slot's cacheline is loaded exactly once per event.
+  // One peek serves the stale check, the record fetch, and the clock bump:
+  // the slot's cacheline is loaded exactly once per event.
   const EventAux aux = heapAux_.front();
   Slot& s = slab_[aux.slot];
   if (s.generation != aux.generation) {
@@ -145,24 +166,22 @@ std::uint64_t Simulator::fireTop() {
   }
   now_ = bitsToTime(heapKeys_.front().timeBits);
   heapPopTop();
-  // Move the callback out and free the slot *before* invoking: the callback
-  // may schedule new events (reusing this very slot) and late cancels on it
-  // must already be no-ops. `s` stays valid — only the callback can grow
-  // the slab, and it has not run yet.
-  Callback fn = std::move(s.fn);
+  // Copy the record out and free the slot *before* dispatching: the
+  // handler may schedule new events (reusing this very slot) and late
+  // cancels on it must already be no-ops. `s` stays valid — only the
+  // handler can grow the slab, and it has not run yet.
+  const EventDesc desc = s.desc;
   releaseSlot(aux.slot);
-  // Counted before invoking so a checkpoint written from inside a callback
-  // includes the event in progress — the restored run will not re-run it.
+  // Counted before dispatching so a checkpoint written from inside a
+  // handler includes the event in progress — the restored run will not
+  // re-run it.
   ++executed_;
-  fn();
+  const EventHandler& h = handlers_[desc.kind];
+  h.fn(h.ctx, desc);
   return 1;
 }
 
 std::vector<Simulator::PendingEvent> Simulator::pendingEvents() {
-  if (!descEnabled_) {
-    throw std::logic_error{
-        "Simulator::pendingEvents: event descriptions are not enabled"};
-  }
   // Drain every record in fire order, shedding stale (cancelled) ones, then
   // re-insert the survivors. Re-insertion in ascending key order is cheap
   // (heap pushes never sift) and cannot change the fire sequence: pops always
@@ -184,37 +203,26 @@ std::vector<Simulator::PendingEvent> Simulator::pendingEvents() {
   out.reserve(records.size());
   for (const auto& [key, aux] : records) {
     heapPush(key, aux);
-    // Events scheduled before descriptor storage was enabled fall outside
-    // descs_; report them as undescribed so the checkpoint writer can refuse
-    // loudly instead of silently losing them.
-    out.push_back(PendingEvent{
-        key, aux.slot < descs_.size() ? descs_[aux.slot] : EventDesc{}});
+    out.push_back(PendingEvent{key, slab_[aux.slot].desc});
   }
   return out;
 }
 
-EventHandle Simulator::scheduleKeyed(EventKey key, const EventDesc& desc,
-                                     Callback fn) {
-  if (!fn) {
-    throw std::invalid_argument{"Simulator::scheduleKeyed: empty callback"};
-  }
-  if (bitsToTime(key.timeBits) < now_) {
+EventHandle Simulator::scheduleKeyed(EventKey key, const EventDesc& desc) {
+  // A canonical bit pattern (no -0.0) of a time not before now: NaN fails
+  // the comparison, and a negative time is earlier than any clock.
+  const SimTime t = bitsToTime(key.timeBits);
+  if (!(t >= now_) || timeToBits(t) != key.timeBits) {
     throw std::invalid_argument{
-        "Simulator::scheduleKeyed: event time is in the past"};
+        "Simulator::scheduleKeyed: event time is in the past or not a "
+        "canonical time"};
   }
   if (key.seq >= nextSeq_) {
     throw std::invalid_argument{
         "Simulator::scheduleKeyed: seq not covered by restored clock"};
   }
-  const std::uint32_t slot = acquireSlot();
-  if (descEnabled_) {
-    if (descs_.size() < slab_.size()) descs_.resize(slab_.size());
-    descs_[slot] = desc;
-  }
-  Slot& s = slab_[slot];
-  s.fn = std::move(fn);
-  heapPush(key, EventAux{slot, s.generation});
-  return EventHandle{this, slot, s.generation};
+  if (!handles(desc.kind)) throwUnhandled("scheduleKeyed", desc.kind);
+  return arm(key, desc);
 }
 
 void Simulator::clearPending() {

@@ -2,30 +2,30 @@
 /// \file simulator.hpp
 /// Discrete-event simulation kernel.
 ///
-/// A `Simulator` owns a time-ordered event queue. Events are arbitrary
-/// callbacks scheduled at absolute or relative times; ties are broken by
-/// insertion order so runs are fully deterministic. Scheduled events can be
-/// cancelled through the returned `EventHandle` (used heavily by MAC timers
-/// and DTN cache timeouts).
+/// A `Simulator` owns a time-ordered queue of events. An event is data: a
+/// small POD record (`EventDesc`) whose `kind` selects a handler that the
+/// owning component registered once, at construction, and whose other
+/// fields carry everything that handler needs (event_kinds.hpp lists each
+/// kind's fields). Ties are broken by insertion order, so runs are fully
+/// deterministic. Scheduled events can be cancelled through the returned
+/// `EventHandle` (used heavily by MAC timers).
 ///
-/// The kernel is allocation-free on the hot path: callbacks live in a
-/// free-listed slab of slots (`InplaceFunction` keeps captures inline), the
-/// priority queue is an intrusive 4-ary heap of small `{time, seq, slot,
-/// generation}` records, and cancellation is an O(1) generation bump with
-/// lazy heap removal — no `shared_ptr` flags, no `std::function`, and no
-/// event copies on pop. Once the slab and heap vectors have grown to the
-/// scenario's working set, scheduling, cancelling, and firing events touch
-/// the allocator only for the rare callback larger than
-/// `kSimCallbackCapacity` bytes.
+/// The kernel is allocation-free on the hot path: records live in a
+/// free-listed slab of one-cacheline slots, the priority queue is an
+/// intrusive 4-ary heap of small `{time, seq, slot, generation}` records,
+/// and cancellation is an O(1) generation bump with lazy heap removal. Once
+/// the slab and heap vectors have grown to the scenario's working set,
+/// scheduling, cancelling and firing events never touch the allocator.
+/// Because a pending event is a record rather than a closure, checkpointing
+/// the queue is a copy-out of records and restoring it a copy-in.
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
-
-#include "sim/inplace_function.hpp"
 
 namespace glr::sim {
 
@@ -48,14 +48,10 @@ struct EventAux {
   std::uint32_t generation;
 };
 
-/// Optional per-event description: a small POD tag that lets the checkpoint
-/// layer re-create a pending event's callback after a restore (closures are
-/// not serializable, so each schedule site names itself and its captures
-/// here instead). Field meaning is owned by the schedule sites — see
-/// checkpoint/event_kinds.hpp; the kernel only stores and returns the tag.
-/// kind == 0 means "undescribed": the checkpoint writer refuses to snapshot
-/// a queue holding an undescribed live event, so a forgotten tag is a loud
-/// error at snapshot time, never silent divergence at restore time.
+/// One event: the record a schedule site builds and its handler receives.
+/// `kind` selects the handler (see event_kinds.hpp, which also says what
+/// each field means for each kind); the kernel stores and returns the rest
+/// untouched.
 struct EventDesc {
   std::uint16_t kind = 0;
   std::uint8_t b0 = 0;
@@ -66,6 +62,15 @@ struct EventDesc {
   std::uint64_t u1 = 0;
   double f0 = 0.0;
   double f1 = 0.0;
+};
+
+/// A registered event handler: `fn(ctx, desc)` runs when an event of its
+/// kind fires. `ctx` is the owning component, which must outlive every
+/// pending event of the kind (the same rule the `Simulator&` it holds
+/// obeys).
+struct EventHandler {
+  void* ctx = nullptr;
+  void (*fn)(void* ctx, const EventDesc& desc) = nullptr;
 };
 
 /// Thrown by run()/step() when a wall-clock deadline armed via
@@ -113,33 +118,33 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  using Callback = InplaceFunction<void(), kSimCallbackCapacity>;
+  /// Size of the handler table: kinds are 0 .. kMaxKinds - 1.
+  static constexpr std::size_t kMaxKinds = 64;
+
+  /// Registers the handler for `kind`, once per kind per simulator. Throws
+  /// std::logic_error for kind 0 or out of range, or if another handler
+  /// already owns the kind (registering the same handler again is a no-op).
+  void setHandler(std::uint16_t kind, void* ctx,
+                  void (*fn)(void* ctx, const EventDesc& desc));
+
+  /// True if `kind` has a registered handler.
+  [[nodiscard]] bool handles(std::uint16_t kind) const {
+    return kind < kMaxKinds && handlers_[kind].fn != nullptr;
+  }
 
   /// Current simulation time (seconds).
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute time `t` (>= now). Returns a handle
-  /// that can cancel the event. Defined inline below: scheduling runs once
-  /// per event on the hot path and must not cost a cross-TU call.
-  EventHandle scheduleAt(SimTime t, Callback fn);
+  /// Schedules the event `desc` at absolute time `t` (>= now); its kind must
+  /// have a handler. Returns a handle that can cancel the event. Defined
+  /// inline below: scheduling runs once per event on the hot path and must
+  /// not cost a cross-TU call.
+  EventHandle scheduleAt(SimTime t, const EventDesc& desc);
 
-  /// Schedules `fn` to run `delay` seconds from now (delay >= 0).
-  EventHandle schedule(SimTime delay, Callback fn) {
-    return scheduleAt(now_ + delay, std::move(fn));
+  /// Schedules the event `desc` `delay` seconds from now (delay >= 0).
+  EventHandle schedule(SimTime delay, const EventDesc& desc) {
+    return scheduleAt(now_ + delay, desc);
   }
-
-  /// Tagged variants: identical scheduling semantics, but the descriptor is
-  /// recorded alongside the event when enableEventDescriptions() is active
-  /// (one predicted branch and a 48-byte store; nothing when inactive).
-  EventHandle scheduleAt(SimTime t, const EventDesc& desc, Callback fn);
-  EventHandle schedule(SimTime delay, const EventDesc& desc, Callback fn) {
-    return scheduleAt(now_ + delay, desc, std::move(fn));
-  }
-
-  /// Turns on descriptor storage. Must be enabled before the first schedule
-  /// for pendingEvents() to see every live event described.
-  void enableEventDescriptions() { descEnabled_ = true; }
-  [[nodiscard]] bool eventDescriptionsEnabled() const { return descEnabled_; }
 
   /// One live pending event, as the checkpoint layer sees it.
   struct PendingEvent {
@@ -148,17 +153,18 @@ class Simulator {
   };
 
   /// Snapshot of every live (non-cancelled) pending event in exact fire
-  /// order. Requires enableEventDescriptions(). Internally drains and
-  /// re-inserts the queue records; the observable event sequence is
-  /// unchanged — the heap pops the exact (time, seq) minimum regardless of
-  /// internal layout, so re-insertion cannot reorder fires.
+  /// order. Internally drains and re-inserts the queue records; the
+  /// observable event sequence is unchanged — the heap pops the exact
+  /// (time, seq) minimum regardless of internal layout, so re-insertion
+  /// cannot reorder fires.
   [[nodiscard]] std::vector<PendingEvent> pendingEvents();
 
   /// Restore support: re-creates one pending event under an exact
   /// pre-assigned (timeBits, seq) key so tie-breaking after a restore is
-  /// bit-identical to the snapshotted run. The key must lie in the past of
-  /// nextSeq (set via restoreClock first) and not before now().
-  EventHandle scheduleKeyed(EventKey key, const EventDesc& desc, Callback fn);
+  /// bit-identical to the snapshotted run. The time must be canonical and
+  /// not before now(), the seq below nextSeq (set via restoreClock first),
+  /// and the kind registered; std::invalid_argument otherwise.
+  EventHandle scheduleKeyed(EventKey key, const EventDesc& desc);
 
   /// Restore support: discards every queued record (cancelled ones included)
   /// and releases their slots. The clock and counters are untouched.
@@ -222,21 +228,22 @@ class Simulator {
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
   static constexpr std::size_t kHeapArity = 4;
 
-  /// Slab cell. An armed slot holds the callback; a free slot links the
-  /// free list. The generation counter is bumped whenever the slot's event
-  /// fires or is cancelled, instantly invalidating stale handles and stale
-  /// heap records. Cacheline-aligned: callback + metadata are exactly one
-  /// line, so arming/firing a slot touches a single line of the slab.
+  /// Slab cell. An armed slot holds the event's record; a free slot links
+  /// the free list. The generation counter is bumped whenever the slot's
+  /// event fires or is cancelled, instantly invalidating stale handles and
+  /// stale heap records. Cacheline-aligned: record + metadata fit one line,
+  /// so arming/firing a slot touches a single line of the slab.
   struct alignas(64) Slot {
-    Callback fn;
+    EventDesc desc;
     std::uint32_t generation = 0;
     std::uint32_t nextFree = kNilSlot;
   };
+  static_assert(sizeof(Slot) == 64, "a slot is one cache line");
 
   /// What the heap orders, split structure-of-arrays style: the sift loops
   /// touch only the 16-byte key array (4 children span at most two cache
   /// lines instead of three), while the {slot, generation} payload rides in
-  /// a parallel array. Pops move small records, never closures. Time is
+  /// a parallel array. Pops move 16-byte keys, never event records. Time is
   /// stored as its IEEE-754 bit pattern: sim times are non-negative, and
   /// non-negative doubles order identically to their bit patterns, so the
   /// comparator is pure integer work (no NaN/denormal edge cases in the hot
@@ -281,11 +288,9 @@ class Simulator {
     return slot;
   }
 
-  /// Destroys the slot's callback, bumps its generation, and returns it to
-  /// the free list.
+  /// Bumps the slot's generation and returns it to the free list.
   void releaseSlot(std::uint32_t slot) {
     Slot& s = slab_[slot];
-    s.fn.reset();
     ++s.generation;  // stale handles and heap records become inert here
     s.nextFree = freeHead_;
     freeHead_ = slot;
@@ -315,10 +320,20 @@ class Simulator {
     return slot < slab_.size() && slab_[slot].generation == generation;
   }
 
-  /// Shared body of the tagged and untagged schedule paths. `desc` is null
-  /// for the untagged overload (stored as kind 0 = undescribed when
-  /// descriptor storage is on, so slot reuse never leaks a stale tag).
-  EventHandle scheduleTagged(SimTime t, const EventDesc* desc, Callback fn);
+  /// Throws std::invalid_argument naming an unregistered kind. Out of line:
+  /// only reached on a defect.
+  [[noreturn]] static void throwUnhandled(const char* where,
+                                          std::uint16_t kind);
+
+  /// Shared tail of scheduleAt and scheduleKeyed: stores `desc` in a fresh
+  /// slot and queues it under `key`.
+  EventHandle arm(EventKey key, const EventDesc& desc) {
+    const std::uint32_t slot = acquireSlot();
+    Slot& s = slab_[slot];
+    s.desc = desc;
+    heapPush(key, EventAux{slot, s.generation});
+    return EventHandle{this, slot, s.generation};
+  }
 
   /// Throws WallClockTimeout if the armed deadline has passed. Out of line:
   /// only reached every kWallCheckMask+1 events.
@@ -333,15 +348,11 @@ class Simulator {
   /// Heap records whose event was cancelled (fired events pop immediately,
   /// cancelled ones linger); drives the compaction heuristic.
   std::size_t staleCount_ = 0;
-  /// Per-slot event descriptors, parallel to `slab_`. Grown lazily and only
-  /// when descriptor storage is enabled, so checkpoint-less runs pay no
-  /// memory for it.
-  std::vector<EventDesc> descs_;
+  std::array<EventHandler, kMaxKinds> handlers_{};
   SimTime now_ = 0;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  bool descEnabled_ = false;
   /// Wall-clock deadline (steady-clock nanoseconds since epoch; 0 = none)
   /// and the event counter that rate-limits the clock reads.
   std::uint64_t wallDeadlineNs_ = 0;
@@ -356,33 +367,12 @@ inline bool EventHandle::pending() const {
   return sim_ != nullptr && sim_->eventPending(slot_, generation_);
 }
 
-inline EventHandle Simulator::scheduleTagged(SimTime t, const EventDesc* desc,
-                                             Callback fn) {
+inline EventHandle Simulator::scheduleAt(SimTime t, const EventDesc& desc) {
   if (t < now_) {
     throw std::invalid_argument{"Simulator::scheduleAt: time is in the past"};
   }
-  if (!fn) {
-    throw std::invalid_argument{"Simulator::scheduleAt: empty callback"};
-  }
-  const std::uint32_t slot = acquireSlot();
-  if (descEnabled_) {
-    if (descs_.size() < slab_.size()) descs_.resize(slab_.size());
-    descs_[slot] = desc != nullptr ? *desc : EventDesc{};
-  }
-  Slot& s = slab_[slot];
-  s.fn = std::move(fn);
-  const EventKey key{timeToBits(t), nextSeq_++};
-  heapPush(key, EventAux{slot, s.generation});
-  return EventHandle{this, slot, s.generation};
-}
-
-inline EventHandle Simulator::scheduleAt(SimTime t, Callback fn) {
-  return scheduleTagged(t, nullptr, std::move(fn));
-}
-
-inline EventHandle Simulator::scheduleAt(SimTime t, const EventDesc& desc,
-                                         Callback fn) {
-  return scheduleTagged(t, &desc, std::move(fn));
+  if (!handles(desc.kind)) throwUnhandled("scheduleAt", desc.kind);
+  return arm(EventKey{timeToBits(t), nextSeq_++}, desc);
 }
 
 inline void Simulator::heapPush(EventKey key, EventAux aux) {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "closure_events.hpp"
 #include "dtn/buffer.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
@@ -175,6 +176,7 @@ class NullAgent final : public glr::net::Agent {
 /// so the delivery filter has traffic to chew on.
 struct TinyWorld {
   glr::sim::Simulator sim;
+  glr::test::Closures events{sim};
   glr::phy::TwoRayGround model;
   glr::phy::RadioParams radio;
   std::unique_ptr<glr::net::World> world;
@@ -200,9 +202,9 @@ struct TinyWorld {
       p.bytes = 64;
       p.kind = "tick";
       (void)world->macOf(0).send(p, glr::net::kBroadcast);
-      sim.schedule(interval, [this] { tick(); });
+      events.schedule(interval, [this] { tick(); });
     };
-    sim.schedule(0.0, [this] { tick(); });
+    events.schedule(0.0, [this] { tick(); });
     sim.run(horizon);
   }
 };

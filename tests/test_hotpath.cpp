@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "../bench/counting_allocator.hpp"
+#include "closure_events.hpp"
 #include "core/glr_agent.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
@@ -55,6 +56,7 @@ TEST(PositionCache, MatchesDirectQueriesForAllRegisteredModels) {
   ASSERT_FALSE(names.empty());
 
   Simulator sim;
+  glr::test::Closures ev{sim};
   TwoRayGround model;
   RadioParams radio;
   World world{sim, model, radio, MacParams{}};
@@ -84,7 +86,7 @@ TEST(PositionCache, MatchesDirectQueriesForAllRegisteredModels) {
   const std::vector<SimTime> times = {0.0, 0.0,  0.4, 1.1, 1.1, 1.1, 2.7,
                                       5.0, 5.0,  8.3, 12.9, 12.9, 20.0};
   for (const SimTime t : times) {
-    sim.scheduleAt(t, [&world, &reference, &names] {
+    ev.scheduleAt(t, [&world, &reference, &names] {
       for (std::size_t i = 0; i < names.size(); ++i) {
         const Point2 direct =
             reference[i]->positionAt(world.sim().now());
@@ -96,8 +98,8 @@ TEST(PositionCache, MatchesDirectQueriesForAllRegisteredModels) {
     });
   }
   // Churn mid-epoch: radio state must not perturb positions or the cache.
-  sim.scheduleAt(6.0, [&world] { world.setRadioUp(1, false); });
-  sim.scheduleAt(10.0, [&world] { world.setRadioUp(1, true); });
+  ev.scheduleAt(6.0, [&world] { world.setRadioUp(1, false); });
+  ev.scheduleAt(10.0, [&world] { world.setRadioUp(1, true); });
   sim.run();
   EXPECT_EQ(sim.now(), 20.0);
 }
@@ -118,6 +120,10 @@ class BeaconAgent final : public glr::net::Agent {
   void start() override { service_.start(); }
   void onPacket(const Packet& p, int from) override {
     service_.handlePacket(p, from);
+  }
+  /// The only event routed here is the hello timer (kHello).
+  void onEvent(const glr::sim::EventDesc& /*e*/) override {
+    service_.sendHello();
   }
   [[nodiscard]] const NeighborService& service() const { return service_; }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_events.hpp"
 #include "dtn/buffer.hpp"
 #include "dtn/metrics.hpp"
 #include "experiment/runner.hpp"
@@ -536,6 +537,7 @@ TEST(CrashSafetyLaws, RestoringTheSameSnapshotTwiceIsBitIdentical) {
 
 TEST(ClockLaws, SimulatorTimeIsMonotoneAcrossCallbacks) {
   glr::sim::Simulator sim;
+  glr::test::Closures ev{sim};
   Rng rng{77};
   double last = -1.0;
   int fired = 0;
@@ -543,9 +545,9 @@ TEST(ClockLaws, SimulatorTimeIsMonotoneAcrossCallbacks) {
   std::function<void()> probe = [&] {
     EXPECT_GE(sim.now(), last);
     last = sim.now();
-    if (++fired < 500) sim.schedule(rng.uniform(0.0, 2.0), probe);
+    if (++fired < 500) ev.schedule(rng.uniform(0.0, 2.0), probe);
   };
-  sim.schedule(0.0, probe);
+  ev.schedule(0.0, probe);
   sim.run();
   EXPECT_EQ(fired, 500);
 }

@@ -13,6 +13,7 @@
 #include "mac/mac.hpp"
 #include "net/world.hpp"
 #include "phy/propagation.hpp"
+#include "sim/event_kinds.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -49,6 +50,17 @@ struct StaticNet {
         sim, model, solveThresholds(model, radio), radio.txPowerW,
         [this](int id) { return positions[static_cast<std::size_t>(id)]; });
     received.resize(positions.size());
+    // No net::World here, so the harness routes the MAC event kinds to
+    // macs[i0] itself, as the World does in a scenario.
+    for (const glr::sim::EventKind kind :
+         {glr::sim::kMacAttempt, glr::sim::kMacBackoffExpire,
+          glr::sim::kMacTxEnd, glr::sim::kMacAckTimeout,
+          glr::sim::kMacAckReply}) {
+      sim.setHandler(kind, this, [](void* net, const glr::sim::EventDesc& e) {
+        static_cast<StaticNet*>(net)->macs[static_cast<std::size_t>(e.i0)]
+            ->onEvent(e);
+      });
+    }
     for (std::size_t i = 0; i < positions.size(); ++i) {
       macs.push_back(std::make_unique<Mac>(sim, *channel,
                                            static_cast<int>(i), mp,

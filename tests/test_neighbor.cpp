@@ -36,6 +36,10 @@ class BeaconAgent final : public glr::net::Agent {
   void onPacket(const Packet& p, int from) override {
     service_.handlePacket(p, from);
   }
+  /// The only event routed here is the hello timer (kHello).
+  void onEvent(const glr::sim::EventDesc& /*e*/) override {
+    service_.sendHello();
+  }
 
   NeighborService& service() { return service_; }
 

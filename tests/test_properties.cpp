@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "closure_events.hpp"
 #include "dtn/buffer.hpp"
 #include "core/trees.hpp"
 #include "experiment/scenario.hpp"
@@ -273,6 +274,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SimulatorStress, RandomScheduleCancelReplay) {
   const auto run = [](std::uint64_t seed) {
     glr::sim::Simulator sim;
+    glr::test::Closures ev{sim};
     Rng rng{seed};
     std::vector<glr::sim::EventHandle> handles;
     std::uint64_t checksum = 0;
@@ -280,8 +282,8 @@ TEST(SimulatorStress, RandomScheduleCancelReplay) {
       checksum = checksum * 1099511628211ULL + sim.eventsExecuted();
       if (depth < 3) {
         for (int i = 0; i < 3; ++i) {
-          handles.push_back(sim.schedule(rng.uniform(0.0, 5.0),
-                                         [&spawn, depth] { spawn(depth + 1); }));
+          handles.push_back(ev.schedule(rng.uniform(0.0, 5.0),
+                                        [&spawn, depth] { spawn(depth + 1); }));
         }
       }
       if (!handles.empty() && rng.bernoulli(0.3)) {
@@ -290,7 +292,7 @@ TEST(SimulatorStress, RandomScheduleCancelReplay) {
     };
     for (int i = 0; i < 50; ++i) {
       handles.push_back(
-          sim.schedule(rng.uniform(0.0, 10.0), [&spawn] { spawn(0); }));
+          ev.schedule(rng.uniform(0.0, 10.0), [&spawn] { spawn(0); }));
     }
     sim.run(100.0);
     return checksum ^ sim.eventsExecuted();

@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "closure_events.hpp"
 #include "core/glr_agent.hpp"
 #include "dtn/metrics.hpp"
 #include "mobility/mobility.hpp"
@@ -33,6 +34,7 @@ using glr::sim::Simulator;
 /// Static-topology harness with pluggable agents.
 struct Net {
   Simulator sim;
+  glr::test::Closures events{sim};
   TwoRayGround model;
   std::unique_ptr<World> world;
   MetricsCollector metrics;
@@ -72,7 +74,7 @@ struct Net {
 TEST(GlrProtocol, DirectNeighborDelivery) {
   Net net{{{0, 0}, {100, 0}}, 150.0};
   auto agents = net.addGlrAgents(net.glrParams(150.0));
-  net.sim.schedule(2.0, [&] { agents[0]->originate(1); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(1); });
   net.sim.run(10.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   EXPECT_DOUBLE_EQ(net.metrics.avgHops(), 1.0);
@@ -83,7 +85,7 @@ TEST(GlrProtocol, MultiHopChainDelivery) {
   // 5-node chain, 120 m spacing, 150 m range: strictly multi-hop.
   Net net{{{0, 0}, {120, 0}, {240, 0}, {360, 0}, {480, 0}}, 150.0};
   auto agents = net.addGlrAgents(net.glrParams(150.0));
-  net.sim.schedule(2.0, [&] { agents[0]->originate(4); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(4); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   EXPECT_DOUBLE_EQ(net.metrics.avgHops(), 4.0);
@@ -112,7 +114,7 @@ TEST(GlrProtocol, MultipleCopiesStoredWithDistinctFlags) {
   GlrParams p = net.glrParams(50.0);
   p.copiesOverride = 3;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(1.0, [&] { agents[0]->originate(1); });
+  net.events.schedule(1.0, [&] { agents[0]->originate(1); });
   net.sim.run(5.0);
   EXPECT_EQ(agents[0]->buffer().storeSize(), 3u);
   EXPECT_TRUE(agents[0]->buffer().inStore(
@@ -128,7 +130,7 @@ TEST(GlrProtocol, CustodyClearsCacheOnAck) {
   GlrParams p = net.glrParams(150.0);
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(2.0, [&] { agents[0]->originate(2); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(2); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   // All custody copies cleared along the path after acknowledgements.
@@ -144,7 +146,7 @@ TEST(GlrProtocol, WithoutCustodyNoCacheUsed) {
   p.custodyTransfer = false;
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(2.0, [&] { agents[0]->originate(2); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(2); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   EXPECT_EQ(agents[0]->counters().custodyAcksReceived, 0u);
@@ -189,7 +191,8 @@ TEST(GlrProtocol, StoresWhenPartitionedAndDeliversAfterHealing) {
     world.setAgent(i, std::move(a));
   }
   world.start();
-  sim.schedule(1.0, [&] { agents[0]->originate(1); });
+  glr::test::Closures events{sim};
+  events.schedule(1.0, [&] { agents[0]->originate(1); });
 
   sim.run(20.0);
   EXPECT_EQ(metrics.deliveredCount(), 0u);  // still partitioned-ish
@@ -203,7 +206,7 @@ TEST(GlrProtocol, OracleLocationModeDelivers) {
   p.locationMode = LocationMode::kOracleAll;
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(2.0, [&] { agents[0]->originate(2); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(2); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
 }
@@ -216,7 +219,7 @@ TEST(GlrProtocol, NoneKnowModeStillDeliversViaDiffusion) {
   p.locationMode = LocationMode::kNoneKnow;
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(3.0, [&] { agents[0]->originate(2); });
+  net.events.schedule(3.0, [&] { agents[0]->originate(2); });
   net.sim.run(60.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
 }
@@ -227,7 +230,7 @@ TEST(GlrProtocol, StorageLimitEnforced) {
   p.storageLimit = 5;
   p.copiesOverride = 1;
   auto agents = net.addGlrAgents(p);
-  net.sim.schedule(1.0, [&] {
+  net.events.schedule(1.0, [&] {
     for (int k = 0; k < 20; ++k) agents[0]->originate(1);
   });
   net.sim.run(10.0);
@@ -253,7 +256,7 @@ TEST(Epidemic, SpreadsAndDelivers) {
   Net net{{{0, 0}, {100, 0}, {200, 0}, {300, 0}}, 150.0};
   auto agents =
       addAgents<glr::routing::EpidemicAgent>(net, glr::routing::EpidemicParams{});
-  net.sim.schedule(2.0, [&] { agents[0]->originate(3); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(3); });
   net.sim.run(30.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
   // Epidemic never clears: every node in the chain holds a copy.
@@ -264,7 +267,7 @@ TEST(Epidemic, NoDuplicateStorage) {
   Net net{{{0, 0}, {100, 0}, {100, 80}}, 150.0};
   auto agents =
       addAgents<glr::routing::EpidemicAgent>(net, glr::routing::EpidemicParams{});
-  net.sim.schedule(2.0, [&] {
+  net.events.schedule(2.0, [&] {
     for (int k = 0; k < 5; ++k) agents[0]->originate(2);
   });
   net.sim.run(30.0);
@@ -277,7 +280,7 @@ TEST(Epidemic, FifoDropUnderStorageLimit) {
   p.storageLimit = 3;
   Net net{{{0, 0}, {100, 0}}, 150.0};
   auto agents = addAgents<glr::routing::EpidemicAgent>(net, p);
-  net.sim.schedule(2.0, [&] {
+  net.events.schedule(2.0, [&] {
     for (int k = 0; k < 10; ++k) agents[0]->originate(1);
   });
   net.sim.run(30.0);
@@ -289,7 +292,7 @@ TEST(DirectDelivery, OnlyMeetsDeliver) {
   Net net{{{0, 0}, {100, 0}, {400, 0}}, 150.0};
   auto agents =
       addAgents<glr::routing::DirectDeliveryAgent>(net, glr::routing::DirectParams{});
-  net.sim.schedule(2.0, [&] {
+  net.events.schedule(2.0, [&] {
     agents[0]->originate(1);  // neighbor: deliverable
     agents[0]->originate(2);  // out of range: must wait forever (static)
   });
@@ -303,7 +306,7 @@ TEST(SprayAndWait, BudgetHalvesAndDelivers) {
   p.copyBudget = 4;
   Net net{{{0, 0}, {100, 0}, {200, 0}, {300, 0}}, 150.0};
   auto agents = addAgents<glr::routing::SprayWaitAgent>(net, p);
-  net.sim.schedule(2.0, [&] { agents[0]->originate(3); });
+  net.events.schedule(2.0, [&] { agents[0]->originate(3); });
   net.sim.run(60.0);
   EXPECT_EQ(net.metrics.deliveredCount(), 1u);
 }

@@ -2,33 +2,36 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "../bench/legacy_simulator.hpp"
-#include "dtn/message.hpp"
+#include "closure_events.hpp"
 #include "experiment/scenario.hpp"
-#include "sim/inplace_function.hpp"
+#include "sim/event_kinds.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
+using glr::sim::EventDesc;
 using glr::sim::EventHandle;
-using glr::sim::InplaceFunction;
 using glr::sim::Rng;
 using glr::sim::Simulator;
+using glr::test::Closures;
 
 TEST(Simulator, RunsEventsInTimeOrder) {
   Simulator sim;
+  Closures ev{sim};
   std::vector<int> order;
-  sim.schedule(3.0, [&] { order.push_back(3); });
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.schedule(2.0, [&] { order.push_back(2); });
+  ev.schedule(3.0, [&] { order.push_back(3); });
+  ev.schedule(1.0, [&] { order.push_back(1); });
+  ev.schedule(2.0, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
@@ -36,9 +39,10 @@ TEST(Simulator, RunsEventsInTimeOrder) {
 
 TEST(Simulator, TiesBreakByInsertionOrder) {
   Simulator sim;
+  Closures ev{sim};
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.schedule(1.0, [&order, i] { order.push_back(i); });
+    ev.schedule(1.0, [&order, i] { order.push_back(i); });
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -46,10 +50,11 @@ TEST(Simulator, TiesBreakByInsertionOrder) {
 
 TEST(Simulator, RunUntilStopsAtHorizon) {
   Simulator sim;
+  Closures ev{sim};
   int fired = 0;
-  sim.schedule(1.0, [&] { ++fired; });
-  sim.schedule(2.0, [&] { ++fired; });
-  sim.schedule(5.0, [&] { ++fired; });
+  ev.schedule(1.0, [&] { ++fired; });
+  ev.schedule(2.0, [&] { ++fired; });
+  ev.schedule(5.0, [&] { ++fired; });
   const auto ran = sim.run(2.0);
   EXPECT_EQ(ran, 2u);
   EXPECT_EQ(fired, 2);
@@ -61,12 +66,13 @@ TEST(Simulator, RunUntilStopsAtHorizon) {
 
 TEST(Simulator, NestedSchedulingFromCallbacks) {
   Simulator sim;
+  Closures ev{sim};
   std::vector<double> times;
   std::function<void()> tick = [&] {
     times.push_back(sim.now());
-    if (times.size() < 5) sim.schedule(1.5, tick);
+    if (times.size() < 5) ev.schedule(1.5, tick);
   };
-  sim.schedule(0.0, tick);
+  ev.schedule(0.0, tick);
   sim.run();
   ASSERT_EQ(times.size(), 5u);
   for (std::size_t i = 0; i < times.size(); ++i) {
@@ -76,8 +82,9 @@ TEST(Simulator, NestedSchedulingFromCallbacks) {
 
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
+  Closures ev{sim};
   int fired = 0;
-  EventHandle h = sim.schedule(1.0, [&] { ++fired; });
+  EventHandle h = ev.schedule(1.0, [&] { ++fired; });
   EXPECT_TRUE(h.pending());
   h.cancel();
   EXPECT_FALSE(h.pending());
@@ -87,8 +94,9 @@ TEST(Simulator, CancelPreventsExecution) {
 
 TEST(Simulator, CancelAfterFireIsNoop) {
   Simulator sim;
+  Closures ev{sim};
   int fired = 0;
-  EventHandle h = sim.schedule(1.0, [&] { ++fired; });
+  EventHandle h = ev.schedule(1.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(h.pending());
@@ -104,12 +112,13 @@ TEST(Simulator, DefaultHandleIsInert) {
 
 TEST(Simulator, StopEndsRunEarly) {
   Simulator sim;
+  Closures ev{sim};
   int fired = 0;
-  sim.schedule(1.0, [&] {
+  ev.schedule(1.0, [&] {
     ++fired;
     sim.stop();
   });
-  sim.schedule(2.0, [&] { ++fired; });
+  ev.schedule(2.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.hasPending());
@@ -117,21 +126,131 @@ TEST(Simulator, StopEndsRunEarly) {
 
 TEST(Simulator, SchedulingInPastThrows) {
   Simulator sim;
-  sim.schedule(5.0, [] {});
+  Closures ev{sim};
+  ev.schedule(5.0, [] {});
   sim.run();
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-  EXPECT_THROW(sim.scheduleAt(1.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(ev.scheduleAt(1.0, [] {}), std::invalid_argument);
 }
 
-TEST(Simulator, EmptyCallbackThrows) {
+TEST(Simulator, UnregisteredKindThrows) {
   Simulator sim;
-  EXPECT_THROW(sim.schedule(1.0, Simulator::Callback{}), std::invalid_argument);
+  EventDesc d;
+  d.kind = glr::sim::kChannelTxEnd;  // nothing registered it here
+  EXPECT_THROW(sim.schedule(1.0, d), std::invalid_argument);
+  d.kind = 0;
+  EXPECT_THROW(sim.schedule(1.0, d), std::invalid_argument);
+  d.kind = static_cast<std::uint16_t>(Simulator::kMaxKinds);
+  EXPECT_THROW(sim.schedule(1.0, d), std::invalid_argument);
+  EXPECT_THROW(sim.scheduleKeyed({0, 0}, d), std::invalid_argument);
+  EXPECT_EQ(sim.queueSize(), 0u);
+}
+
+TEST(Simulator, HandlerReceivesTheScheduledRecord) {
+  // The record is the event: every field reaches the kind's handler
+  // unchanged, with the registered context.
+  struct Log {
+    std::vector<EventDesc> seen;
+    std::vector<double> at;
+    Simulator* sim = nullptr;
+  } log;
+  Simulator sim;
+  log.sim = &sim;
+  sim.setHandler(5, &log, [](void* ctx, const EventDesc& e) {
+    auto& l = *static_cast<Log*>(ctx);
+    l.seen.push_back(e);
+    l.at.push_back(l.sim->now());
+  });
+  EventDesc d;
+  d.kind = 5;
+  d.b0 = 1;
+  d.b1 = 2;
+  d.i0 = -3;
+  d.i1 = 4;
+  d.u0 = ~0ULL;
+  d.u1 = 6;
+  d.f0 = 0.5;
+  d.f1 = -7.25;
+  sim.schedule(2.0, d);
+  d.u1 = 9;
+  sim.scheduleAt(1.0, d);
+  sim.run();
+  ASSERT_EQ(log.seen.size(), 2u);
+  EXPECT_EQ(log.at, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(log.seen[0].u1, 9u);
+  const EventDesc& e = log.seen[1];
+  EXPECT_EQ(e.kind, 5);
+  EXPECT_EQ(e.b0, 1);
+  EXPECT_EQ(e.b1, 2);
+  EXPECT_EQ(e.i0, -3);
+  EXPECT_EQ(e.i1, 4);
+  EXPECT_EQ(e.u0, ~0ULL);
+  EXPECT_EQ(e.u1, 6u);
+  EXPECT_EQ(e.f0, 0.5);
+  EXPECT_EQ(e.f1, -7.25);
+}
+
+TEST(Simulator, SetHandlerRefusesConflictsAndBadKinds) {
+  Simulator sim;
+  int a = 0;
+  int b = 0;
+  const auto fn = [](void*, const EventDesc&) {};
+  sim.setHandler(3, &a, fn);
+  EXPECT_NO_THROW(sim.setHandler(3, &a, fn));  // same handler: no-op
+  EXPECT_THROW(sim.setHandler(3, &b, fn), std::logic_error);
+  EXPECT_THROW(sim.setHandler(0, &a, fn), std::logic_error);
+  EXPECT_THROW(
+      sim.setHandler(static_cast<std::uint16_t>(Simulator::kMaxKinds), &a, fn),
+      std::logic_error);
+  EXPECT_THROW(sim.setHandler(4, &a, nullptr), std::logic_error);
+  EXPECT_TRUE(sim.handles(3));
+  EXPECT_FALSE(sim.handles(4));
+}
+
+TEST(Simulator, PendingEventsCopiesRecordsOutInFireOrder) {
+  Simulator sim;
+  sim.setHandler(7, nullptr, [](void*, const EventDesc&) {});
+  EventDesc d;
+  d.kind = 7;
+  for (int i = 0; i < 6; ++i) {
+    d.i0 = i;
+    EventHandle h = sim.schedule(static_cast<double>(6 - i % 3), d);
+    if (i == 4) h.cancel();
+  }
+  const auto pending = sim.pendingEvents();
+  std::vector<int> ids;
+  for (const auto& p : pending) ids.push_back(p.desc.i0);
+  // Times 6,5,4,6,(5 cancelled),4: fire order by (time, seq).
+  EXPECT_EQ(ids, (std::vector<int>{2, 5, 1, 0, 3}));
+  EXPECT_EQ(sim.run(), 5u);  // the snapshot did not disturb the queue
+}
+
+TEST(Simulator, ScheduleKeyedRefusesBadKeys) {
+  Simulator sim;
+  sim.setHandler(7, nullptr, [](void*, const EventDesc&) {});
+  sim.restoreClock(10.0, 100, 0);
+  EventDesc d;
+  d.kind = 7;
+  const auto bits = [](double t) { return Simulator::timeToBits(t); };
+  EXPECT_THROW(sim.scheduleKeyed({bits(9.0), 1}, d), std::invalid_argument);
+  EXPECT_THROW(sim.scheduleKeyed({bits(11.0), 100}, d),
+               std::invalid_argument);
+  EXPECT_THROW(sim.scheduleKeyed({std::bit_cast<std::uint64_t>(std::nan("")),
+                                  1},
+                                 d),
+               std::invalid_argument);
+  EXPECT_THROW(sim.scheduleKeyed({std::bit_cast<std::uint64_t>(-0.0), 1}, d),
+               std::invalid_argument);
+  EXPECT_EQ(sim.queueSize(), 0u);
+  sim.scheduleKeyed({bits(10.0), 99}, d);
+  EXPECT_EQ(sim.run(), 1u);
 }
 
 TEST(Simulator, StepExecutesExactlyN) {
   Simulator sim;
+  Closures ev{sim};
   int fired = 0;
-  for (int i = 0; i < 5; ++i) sim.schedule(i, [&] { ++fired; });
+  for (int i = 0; i < 5; ++i) ev.schedule(i, [&] { ++fired; });
   EXPECT_EQ(sim.step(2), 2u);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(sim.step(10), 3u);
@@ -146,11 +265,12 @@ TEST(Simulator, AdvancesToHorizonWhenQueueEmpty) {
 
 TEST(Simulator, RunWithHorizonInPastFiresNothing) {
   Simulator sim;
+  Closures ev{sim};
   int fired = 0;
-  sim.schedule(5.0, [&] { ++fired; });
+  ev.schedule(5.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
-  sim.schedule(1.0, [&] { ++fired; });  // pending at t = 6
+  ev.schedule(1.0, [&] { ++fired; });  // pending at t = 6
   EXPECT_EQ(sim.run(2.0), 0u);  // horizon already behind now: no-op
   EXPECT_EQ(sim.run(-1.0), 0u);
   EXPECT_EQ(fired, 1);
@@ -161,13 +281,14 @@ TEST(Simulator, RunWithHorizonInPastFiresNothing) {
 
 TEST(Simulator, StepHonorsStop) {
   Simulator sim;
+  Closures ev{sim};
   int fired = 0;
-  sim.schedule(1.0, [&] {
+  ev.schedule(1.0, [&] {
     ++fired;
     sim.stop();
   });
-  sim.schedule(2.0, [&] { ++fired; });
-  sim.schedule(3.0, [&] { ++fired; });
+  ev.schedule(2.0, [&] { ++fired; });
+  ev.schedule(3.0, [&] { ++fired; });
   // stop() from inside an event ends the step() batch early, exactly like
   // run(); the remaining events stay queued.
   EXPECT_EQ(sim.step(3), 1u);
@@ -190,8 +311,9 @@ TEST(EventHandle, IsTriviallyCopyable) {
 
 TEST(EventHandle, DoubleCancelIsNoop) {
   Simulator sim;
+  Closures ev{sim};
   int fired = 0;
-  EventHandle h = sim.schedule(1.0, [&] { ++fired; });
+  EventHandle h = ev.schedule(1.0, [&] { ++fired; });
   EventHandle copy = h;  // value token: copies target the same event
   h.cancel();
   EXPECT_FALSE(h.pending());
@@ -204,11 +326,12 @@ TEST(EventHandle, DoubleCancelIsNoop) {
 
 TEST(EventHandle, CancelledHandleOutlivingReusedSlotIsInert) {
   Simulator sim;
+  Closures ev{sim};
   int oldFired = 0;
   int newFired = 0;
-  EventHandle stale = sim.schedule(1.0, [&] { ++oldFired; });
+  EventHandle stale = ev.schedule(1.0, [&] { ++oldFired; });
   stale.cancel();  // frees the slot: the next schedule reuses it
-  EventHandle fresh = sim.schedule(2.0, [&] { ++newFired; });
+  EventHandle fresh = ev.schedule(2.0, [&] { ++newFired; });
   EXPECT_FALSE(stale.pending());
   EXPECT_TRUE(fresh.pending());
   stale.cancel();  // must NOT kill the new occupant of the recycled slot
@@ -220,13 +343,14 @@ TEST(EventHandle, CancelledHandleOutlivingReusedSlotIsInert) {
 
 TEST(EventHandle, FiredHandleOutlivingReusedSlotIsInert) {
   Simulator sim;
+  Closures ev{sim};
   int firstFired = 0;
-  EventHandle stale = sim.schedule(1.0, [&] { ++firstFired; });
+  EventHandle stale = ev.schedule(1.0, [&] { ++firstFired; });
   sim.run();
   EXPECT_EQ(firstFired, 1);
 
   int secondFired = 0;
-  EventHandle fresh = sim.schedule(1.0, [&] { ++secondFired; });
+  EventHandle fresh = ev.schedule(1.0, [&] { ++secondFired; });
   EXPECT_FALSE(stale.pending());
   stale.cancel();  // stale generation: the recycled slot must be untouched
   EXPECT_TRUE(fresh.pending());
@@ -236,13 +360,14 @@ TEST(EventHandle, FiredHandleOutlivingReusedSlotIsInert) {
 
 TEST(EventHandle, CancelFromInsideOwnCallbackIsNoop) {
   Simulator sim;
+  Closures ev{sim};
   int other = 0;
   EventHandle self;
-  self = sim.schedule(1.0, [&] {
+  self = ev.schedule(1.0, [&] {
     // By firing time the slot is already released; a self-cancel must not
     // disturb whatever reuses it.
     self.cancel();
-    sim.schedule(1.0, [&] { ++other; });
+    ev.schedule(1.0, [&] { ++other; });
   });
   sim.run();
   EXPECT_EQ(other, 1);
@@ -253,6 +378,7 @@ TEST(EventHandle, CancellationStressChurn) {
   // exactly once or was cancelled, never both, across enough rounds that the
   // slab free list cycles thousands of times.
   Simulator sim;
+  Closures ev{sim};
   Rng rng{2024};
   constexpr int kEvents = 20000;
   std::vector<int> fired(kEvents, 0);
@@ -261,7 +387,7 @@ TEST(EventHandle, CancellationStressChurn) {
   handles.reserve(kEvents);
   for (int i = 0; i < kEvents; ++i) {
     handles.push_back(
-        sim.schedule(rng.uniform(0.0, 50.0), [&fired, i] { ++fired[i]; }));
+        ev.schedule(rng.uniform(0.0, 50.0), [&fired, i] { ++fired[i]; }));
     // Cancel a random earlier (possibly already cancelled) event now and
     // then, and sometimes the one just scheduled.
     if (rng.bernoulli(0.4)) {
@@ -286,12 +412,14 @@ TEST(EventHandle, CancellationStressChurn) {
 
 /// Runs a randomized schedule/cancel/horizon script against one kernel and
 /// returns the exact firing log, ending with the executed-event count.
-template <class Sim>
-std::vector<std::pair<double, int>> runScript(std::uint64_t seed) {
-  Sim sim;
+/// `sched` schedules closures on `sim`: the legacy kernel itself, or the
+/// closure adapter over the record kernel.
+template <class Sim, class Sched>
+std::vector<std::pair<double, int>> runScript(Sim& sim, Sched& sched,
+                                              std::uint64_t seed) {
   Rng rng{seed};
   std::vector<std::pair<double, int>> fired;
-  std::vector<decltype(sim.schedule(0.0, [] {}))> handles;
+  std::vector<decltype(sched.scheduleAt(0.0, [] {}))> handles;
   int nextId = 0;
   for (int round = 0; round < 10; ++round) {
     const double base = 10.0 * round;
@@ -301,7 +429,7 @@ std::vector<std::pair<double, int>> runScript(std::uint64_t seed) {
       double t = base + 0.25 * static_cast<double>(rng.below(60));
       if (rng.below(50) == 0) t += 1.0e4;
       const int id = nextId++;
-      handles.push_back(sim.scheduleAt(
+      handles.push_back(sched.scheduleAt(
           t, [&fired, &sim, id] { fired.emplace_back(sim.now(), id); }));
       if (rng.below(4) == 0) {
         // Cancel a random earlier event; already-fired handles are inert.
@@ -319,8 +447,11 @@ TEST(Simulator, MatchesLegacyKernelOnRandomScheduleCancelInterleavings) {
   // The frozen pre-slab kernel (shared_ptr flags + priority_queue) is the
   // ordering oracle: same (time, seq) tie-break, same cancel semantics.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto slab = runScript<Simulator>(seed);
-    const auto legacy = runScript<glr::bench::legacy::Simulator>(seed);
+    Simulator slabSim;
+    Closures ev{slabSim};
+    const auto slab = runScript(slabSim, ev, seed);
+    glr::bench::legacy::Simulator legacySim;
+    const auto legacy = runScript(legacySim, legacySim, seed);
     ASSERT_EQ(slab.size(), legacy.size()) << "seed " << seed;
     for (std::size_t i = 0; i < slab.size(); ++i) {
       EXPECT_EQ(slab[i].first, legacy[i].first)
@@ -329,70 +460,6 @@ TEST(Simulator, MatchesLegacyKernelOnRandomScheduleCancelInterleavings) {
           << "seed " << seed << " i " << i;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// InplaceFunction: the kernel's small-buffer callback type. Every callback
-// the protocol stack schedules must fit the inline buffer (the no-allocation
-// invariant); larger callables must still work via the heap fallback.
-// ---------------------------------------------------------------------------
-
-TEST(InplaceFunction, ProtocolStackCallbacksFitInline) {
-  using Callback = Simulator::Callback;
-  void* self = nullptr;
-  // Capture shapes taken from the actual call sites.
-  auto macTimer = [self] { (void)self; };              // mac.cpp backoff/ack
-  bool broadcast = true;
-  auto macTxEnd = [self, broadcast] { (void)self, (void)broadcast; };
-  std::uint64_t txId = 0;
-  auto channelEnd = [self, txId] { (void)self, (void)txId; };  // channel.cpp
-  int dst = 0;
-  std::uint64_t seq = 0;
-  double ackDur = 0.0;
-  auto macAck = [self, dst, seq, ackDur] {             // mac.cpp ACK reply
-    (void)self, (void)dst, (void)seq, (void)ackDur;
-  };
-  glr::dtn::CopyKey key;
-  int to = 0, attempt = 0;
-  auto custodyAck = [self, key, to, attempt] {         // glr_agent.cpp
-    (void)self, (void)key, (void)to, (void)attempt;
-  };
-  double sentAt = 0.0;
-  auto cacheTimeout = [self, key, sentAt] {            // glr_agent.cpp
-    (void)self, (void)key, (void)sentAt;
-  };
-  static_assert(Callback::kFitsInline<decltype(macTimer)>);
-  static_assert(Callback::kFitsInline<decltype(macTxEnd)>);
-  static_assert(Callback::kFitsInline<decltype(channelEnd)>);
-  static_assert(Callback::kFitsInline<decltype(macAck)>);
-  static_assert(Callback::kFitsInline<decltype(custodyAck)>);
-  static_assert(Callback::kFitsInline<decltype(cacheTimeout)>);
-  SUCCEED();
-}
-
-TEST(InplaceFunction, OversizedCallableFallsBackToHeapAndRuns) {
-  using Callback = Simulator::Callback;
-  std::array<std::uint64_t, 16> big{};  // 128 bytes: over the inline budget
-  big[7] = 42;
-  int out = 0;
-  auto fat = [big, &out] { out = static_cast<int>(big[7]); };
-  static_assert(!Callback::kFitsInline<decltype(fat)>);
-  Simulator sim;
-  sim.schedule(1.0, fat);
-  sim.run();
-  EXPECT_EQ(out, 42);
-}
-
-TEST(InplaceFunction, MoveTransfersOwnership) {
-  InplaceFunction<int()> a = [] { return 7; };
-  InplaceFunction<int()> b = std::move(a);
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  ASSERT_TRUE(static_cast<bool>(b));
-  EXPECT_EQ(b(), 7);
-  a = std::move(b);
-  EXPECT_EQ(a(), 7);
-  a.reset();
-  EXPECT_FALSE(static_cast<bool>(a));
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_events.hpp"
 #include "geometry/point.hpp"
 #include "geometry/spatial_grid.hpp"
 #include "geometry/tiled_grid.hpp"
@@ -185,6 +186,7 @@ BroadcastRun runBroadcasts(const std::string& model, bool indexed) {
   constexpr double kSpeedMax = 20.0;
   constexpr double kSimTime = 60.0;
   glr::sim::Simulator sim;
+  glr::test::Closures ev{sim};
   glr::phy::TwoRayGround propagation;
   glr::phy::RadioParams radio;
   radio.nominalRange = kRadius;
@@ -223,7 +225,7 @@ BroadcastRun runBroadcasts(const std::string& model, bool indexed) {
     for (double t = traffic.exponential(1.0); t < kSimTime;
          t += traffic.exponential(1.0)) {
       const std::string tag = std::to_string(nextTag++);
-      sim.scheduleAt(t, [&world, i, tag] {
+      ev.scheduleAt(t, [&world, i, tag] {
         glr::net::Packet p;
         p.bytes = 64;
         p.kind = tag;
@@ -234,7 +236,7 @@ BroadcastRun runBroadcasts(const std::string& model, bool indexed) {
   Rng churn = master.fork(3);
   for (double t = 0.25; t < kSimTime; t += 0.25) {
     const int i = static_cast<int>(churn.below(kNodes));
-    sim.scheduleAt(t, [&world, i] {
+    ev.scheduleAt(t, [&world, i] {
       world.setRadioUp(i, !world.macOf(i).radioUp());
     });
   }
