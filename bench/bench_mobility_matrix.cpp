@@ -212,6 +212,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"mobility_matrix\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  glr::bench::writeHostStamp(out);
   std::fprintf(out, "  \"seeds_per_cell\": %d,\n", runs);
   std::fprintf(out, "  \"cells\": [\n");
   for (std::size_t i = 0; i < aggs.size(); ++i) {

@@ -311,6 +311,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"resilience\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  glr::bench::writeHostStamp(out);
   std::fprintf(out, "  \"seeds_per_cell\": %d,\n", runs);
   if (gateChecked) {
     std::fprintf(out,

@@ -207,6 +207,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"saturation\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  glr::bench::writeHostStamp(out);
   std::fprintf(out, "  \"seeds_per_cell\": %d,\n", runs);
   std::fprintf(out, "  \"cells\": [\n");
   for (std::size_t v = 0; v < std::size(kVariants); ++v) {

@@ -84,11 +84,10 @@ ScenarioConfig baseConfig(int nodes, double simTime, int messages) {
   cfg.trafficNodes = std::min(nodes, 45);
   cfg.simTime = simTime;
   cfg.numMessages = messages;
-  // Steady-state table bounds: without eviction every node accumulates a
-  // record for everything it has ever heard (~300 B/node per sim-second at
-  // city densities), which would swamp the idle-node budget on any long
-  // horizon.
-  cfg.neighborEvictAfterFactor = 2.0;
+  // Steady-state location bound: without pruning every node keeps an
+  // observation of everything it has ever heard of, which would swamp the
+  // idle-node budget on any long horizon. (Neighbor tables drop stale
+  // records at each beacon on their own.)
   cfg.locationEvictAfter = 15.0;
   return cfg;
 }

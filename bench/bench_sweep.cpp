@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "experiment/tables.hpp"
@@ -163,6 +164,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"sweep\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  glr::bench::writeHostStamp(out);
   std::fprintf(out, "  \"grid\": \"table3-custody\",\n");
   std::fprintf(out, "  \"configs\": %zu,\n", grid.size());
   std::fprintf(out, "  \"seeds_per_config\": %d,\n", runs);

@@ -6,23 +6,17 @@
 /// byte layout is uniform (little-endian, fixed-width, doubles as IEEE-754
 /// bit patterns — bit-identical round-trips, never printf/scanf rounding)
 /// and every malformed read fails loudly with context instead of returning
-/// garbage. The unordered-container helpers additionally reproduce *hash
-/// table iteration order*, which several tables expose to the simulation
-/// (e.g. the neighbor table drives hello payload order, which drives LDTG
-/// construction, which drives routing): libstdc++ keeps each bucket's
-/// members contiguous in iteration order, so any reachable order is rebuilt
-/// by rehashing to the saved bucket count and inserting in reverse of the
-/// saved order — and the rebuilt order is then *verified* element by
-/// element, so a standard library where that reasoning fails produces a
-/// loud error at restore time, never silent divergence at run time.
+/// garbage. Keyed tables (maps and sets) are written in ascending key order,
+/// so the bytes depend only on a table's contents, never on how a container
+/// happens to iterate.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -93,6 +87,20 @@ class Decoder {
   }
   std::size_t size() { return checkedSize(u64(), 0); }
 
+  /// Bounds the ids nodeId() accepts; restore code sets the population
+  /// before it reads per-node state.
+  void setNodeCount(std::size_t n) { nodeCount_ = n; }
+  /// A node id: an i32 in [0, node count). A restored id outside the
+  /// population would index past per-node state.
+  int nodeId() {
+    const std::int32_t id = i32();
+    if (id < 0 || static_cast<std::size_t>(id) >= nodeCount_) {
+      fail("node id " + std::to_string(id) + " is outside [0, " +
+           std::to_string(nodeCount_) + ")");
+    }
+    return id;
+  }
+
   std::string str() {
     const std::size_t n = checkedSize(u64(), 1);
     const unsigned char* p = take(n);
@@ -153,86 +161,48 @@ class Decoder {
   std::size_t size_;
   std::size_t pos_ = 0;
   std::string context_;
+  std::size_t nodeCount_ = SIZE_MAX;
 };
 
-/// Serializes an unordered_map preserving iteration order (see file
-/// comment). `save(e, key, value)` writes one entry.
-template <class K, class V, class H, class Eq, class A, class SaveKV>
-void saveUnorderedMap(Encoder& e, const std::unordered_map<K, V, H, Eq, A>& m,
-                      SaveKV&& save) {
-  e.u64(m.size());
-  e.u64(m.bucket_count());
-  for (const auto& [k, v] : m) save(e, k, v);
+/// The key of a keyed-table entry: a map entry's `first`, a set's element.
+template <class Entry>
+const auto& keyOf(const Entry& entry) {
+  if constexpr (requires { entry.first; }) {
+    return entry.first;
+  } else {
+    return entry;
+  }
 }
 
-/// Rebuilds an unordered_map with the exact saved iteration order, verified.
-/// `load(d)` returns one std::pair<K, V>.
-template <class K, class V, class H, class Eq, class A, class LoadKV>
-void loadUnorderedMap(Decoder& d, std::unordered_map<K, V, H, Eq, A>& m,
-                      LoadKV&& load) {
+/// Writes a keyed table (map, set, or id-sorted vector of pairs): the entry
+/// count, then `save(e, entry)` per entry in ascending key order.
+template <class Table, class Save>
+void saveKeyed(Encoder& e, const Table& table, Save&& save) {
+  std::vector<const typename Table::value_type*> entries;
+  entries.reserve(table.size());
+  for (const auto& entry : table) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return keyOf(*a) < keyOf(*b); });
+  e.size(entries.size());
+  for (const auto* entry : entries) save(e, *entry);
+}
+
+/// Reads a table saveKeyed wrote, replacing `table`'s contents: `load(d)`
+/// returns one entry, which is inserted as read. Keys must be strictly
+/// ascending; anything else is a corrupt file and is refused.
+template <class Table, class Load>
+void loadKeyed(Decoder& d, Table& table, Load&& load) {
   const std::size_t n = d.checkedSize(d.u64(), 1);
-  const auto buckets = static_cast<std::size_t>(d.u64());
-  std::vector<std::pair<K, V>> items;
-  items.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) items.push_back(load(d));
-  m.clear();
-  if (m.bucket_count() != buckets) {
-    // rehash() can neither shrink below the policy minimum nor reproduce
-    // the never-inserted single-bucket state, so start from a fresh table
-    // (bucket_count 1) and grow it to the saved count.
-    m = std::unordered_map<K, V, H, Eq, A>{};
-    if (buckets > 1) m.rehash(buckets);
-  }
-  for (auto it = items.rbegin(); it != items.rend(); ++it) m.insert(*it);
-  if (m.size() != items.size()) d.fail("unordered map holds duplicate keys");
-  if (m.bucket_count() != buckets) {
-    d.fail("unordered map bucket count diverged after rebuild");
-  }
-  std::size_t i = 0;
-  for (const auto& [k, v] : m) {
-    static_cast<void>(v);
-    if (!(k == items[i].first)) {
-      d.fail("unordered map iteration order diverged after rebuild");
+  table.clear();
+  std::remove_cvref_t<decltype(keyOf(*table.begin()))> prev{};
+  for (std::size_t i = 0; i < n; ++i) {
+    auto entry = load(d);
+    if (i > 0 && !(prev < keyOf(entry))) {
+      d.fail("keyed table entry " + std::to_string(i) +
+             " is not after its predecessor in ascending key order");
     }
-    ++i;
-  }
-}
-
-/// Set variants of the same order-preserving scheme.
-template <class K, class H, class Eq, class A, class SaveK>
-void saveUnorderedSet(Encoder& e, const std::unordered_set<K, H, Eq, A>& s,
-                      SaveK&& save) {
-  e.u64(s.size());
-  e.u64(s.bucket_count());
-  for (const auto& k : s) save(e, k);
-}
-
-template <class K, class H, class Eq, class A, class LoadK>
-void loadUnorderedSet(Decoder& d, std::unordered_set<K, H, Eq, A>& s,
-                      LoadK&& load) {
-  const std::size_t n = d.checkedSize(d.u64(), 1);
-  const auto buckets = static_cast<std::size_t>(d.u64());
-  std::vector<K> items;
-  items.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) items.push_back(load(d));
-  s.clear();
-  if (s.bucket_count() != buckets) {
-    // See loadUnorderedMap: a fresh table is the only way back to the
-    // never-inserted single-bucket state.
-    s = std::unordered_set<K, H, Eq, A>{};
-    if (buckets > 1) s.rehash(buckets);
-  }
-  for (auto it = items.rbegin(); it != items.rend(); ++it) s.insert(*it);
-  if (s.size() != items.size()) d.fail("unordered set holds duplicate keys");
-  if (s.bucket_count() != buckets) {
-    d.fail("unordered set bucket count diverged after rebuild");
-  }
-  std::size_t i = 0;
-  for (const auto& k : s) {
-    if (!(k == items[i])) {
-      d.fail("unordered set iteration order diverged after rebuild");
-    }
-    ++i;
+    prev = keyOf(entry);
+    table.insert(table.end(), std::move(entry));
   }
 }
 

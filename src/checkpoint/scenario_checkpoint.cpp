@@ -219,7 +219,7 @@ void checkRecord(const ScenarioComponents& c, const sim::EventDesc& e,
 
 std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   Encoder e;
-  e.u16(1);  // digest schema version
+  e.u16(2);  // digest schema version
   e.i32(static_cast<std::int32_t>(cfg.protocol));
   e.i32(cfg.numNodes);
   e.f64(cfg.areaWidth);
@@ -264,7 +264,6 @@ std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   e.f64(cfg.glrRecoveryCooldown);
   e.f64(cfg.glrSuspicionTtl);
   e.f64(cfg.messageTtl);
-  e.f64(cfg.neighborEvictAfterFactor);
   e.f64(cfg.locationEvictAfter);
   e.f64(cfg.checkpointEvery);
   e.u64(cfg.seed);
@@ -383,6 +382,7 @@ void restoreCheckpoint(const std::string& path, const ScenarioComponents& c) {
     Decoder d(s.bytes.data(), s.bytes.size(), path + " nodes section");
     const std::size_t n = d.checkedSize(d.u64(), 1);
     if (n != c.agents->size()) d.fail("node count mismatch");
+    d.setNodeCount(n);
     for (std::size_t i = 0; i < n; ++i) {
       try {
         c.world->macOf(static_cast<int>(i)).restoreState(d);

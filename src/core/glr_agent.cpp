@@ -734,17 +734,12 @@ void GlrAgent::saveState(ckpt::Encoder& e) const {
   neighbors_.saveState(e);
   buffer_.saveState(e);
   locations_.saveState(e);
-  ckpt::saveUnorderedSet(e, deliveredHere_,
-                         [](ckpt::Encoder& enc, const dtn::MessageId& id) {
-                           ckpt::saveMessageId(enc, id);
-                         });
-  ckpt::saveUnorderedMap(
-      e, suspicion_,
-      [](ckpt::Encoder& enc, const int id, const SuspectEntry& s) {
-        enc.i32(id);
-        enc.i32(s.failures);
-        enc.f64(s.until);
-      });
+  ckpt::saveKeyed(e, deliveredHere_, ckpt::saveMessageId);
+  ckpt::saveKeyed(e, suspicion_, [](ckpt::Encoder& enc, const auto& entry) {
+    enc.i32(entry.first);
+    enc.i32(entry.second.failures);
+    enc.f64(entry.second.until);
+  });
   e.u64(counters_.dataSent);
   e.u64(counters_.dataReceived);
   e.u64(counters_.duplicatesDropped);
@@ -778,10 +773,8 @@ void GlrAgent::restoreState(ckpt::Decoder& d) {
   neighbors_.restoreState(d);
   buffer_.restoreState(d);
   locations_.restoreState(d);
-  ckpt::loadUnorderedSet(d, deliveredHere_, [](ckpt::Decoder& dec) {
-    return ckpt::loadMessageId(dec);
-  });
-  ckpt::loadUnorderedMap(d, suspicion_, [](ckpt::Decoder& dec) {
+  ckpt::loadKeyed(d, deliveredHere_, ckpt::loadMessageId);
+  ckpt::loadKeyed(d, suspicion_, [](ckpt::Decoder& dec) {
     const int id = dec.i32();
     SuspectEntry s;
     s.failures = dec.i32();

@@ -6,16 +6,15 @@
 namespace glr::dtn {
 
 void LocationTable::saveState(ckpt::Encoder& e) const {
-  ckpt::saveUnorderedMap(e, table_, [](ckpt::Encoder& enc, const int id,
-                                       const Entry& entry) {
-    enc.i32(id);
-    ckpt::savePoint(enc, entry.pos);
-    enc.f64(entry.at);
+  ckpt::saveKeyed(e, table_, [](ckpt::Encoder& enc, const auto& entry) {
+    enc.i32(entry.first);
+    ckpt::savePoint(enc, entry.second.pos);
+    enc.f64(entry.second.at);
   });
 }
 
 void LocationTable::restoreState(ckpt::Decoder& d) {
-  ckpt::loadUnorderedMap(d, table_, [](ckpt::Decoder& dec) {
+  ckpt::loadKeyed(d, table_, [](ckpt::Decoder& dec) {
     const int id = dec.i32();
     Entry entry;
     entry.pos = ckpt::loadPoint(dec);

@@ -60,11 +60,7 @@ class LocationTable {
     }
   }
 
-  /// Checkpoint support: although the table is a pure key-value lookup, it
-  /// is saved/restored with the order-preserving container codec so a
-  /// restored node is byte-for-byte in the snapshotted state (prune() does
-  /// iterate, and keeping every container on one policy is cheaper than
-  /// proving order-independence per call site).
+  /// Checkpoint support: entries are written in ascending id order.
   void saveState(ckpt::Encoder& e) const;
   void restoreState(ckpt::Decoder& d);
 

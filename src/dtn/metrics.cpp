@@ -32,12 +32,10 @@ void loadBitmaps(ckpt::Decoder& d,
 void MetricsCollector::saveState(ckpt::Encoder& e) const {
   saveBitmaps(e, createdBits_);
   saveBitmaps(e, deliveredBits_);
-  ckpt::saveUnorderedMap(e, counters_,
-                         [](ckpt::Encoder& enc, const std::string& key,
-                            const std::uint64_t value) {
-                           enc.str(key);
-                           enc.u64(value);
-                         });
+  ckpt::saveKeyed(e, counters_, [](ckpt::Encoder& enc, const auto& entry) {
+    enc.str(entry.first);
+    enc.u64(entry.second);
+  });
   latencySketch_.saveState(e);
   latencyMoments_.saveState(e);
   e.u64(createdCount_);
@@ -50,7 +48,7 @@ void MetricsCollector::saveState(ckpt::Encoder& e) const {
 void MetricsCollector::restoreState(ckpt::Decoder& d) {
   loadBitmaps(d, createdBits_);
   loadBitmaps(d, deliveredBits_);
-  ckpt::loadUnorderedMap(d, counters_, [](ckpt::Decoder& dec) {
+  ckpt::loadKeyed(d, counters_, [](ckpt::Decoder& dec) {
     std::string key = dec.str();
     const std::uint64_t value = dec.u64();
     return std::pair<std::string, std::uint64_t>{std::move(key), value};

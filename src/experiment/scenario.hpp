@@ -141,15 +141,12 @@ struct ScenarioConfig {
   double glrSuspicionTtl = 120.0;
   double messageTtl = 0.0;
 
-  // Scaling-path knobs (city-scale worlds). Defaults keep every pinned
-  // golden bit-identical; bench_scale and the scale tests flip them.
-  /// Steady-state table eviction for long/large runs (0 = keep forever,
-  /// the historical default): neighbor records stale beyond
-  /// `neighborEvictAfterFactor * hello expiry` are erased, and GLR location
-  /// observations older than `locationEvictAfter` seconds are pruned. Both
-  /// bound an idle node's footprint by its active neighborhood instead of
-  /// by everything it has ever heard.
-  double neighborEvictAfterFactor = 0.0;
+  /// Location-table bound for long/large runs (0 = keep forever, the
+  /// default): GLR location observations older than `locationEvictAfter`
+  /// seconds are pruned, bounding an idle node's footprint by its active
+  /// neighborhood instead of by everything it has ever heard of. Pruning
+  /// changes what a later lookup returns, so it stays opt-in;
+  /// bench_scale turns it on.
   double locationEvictAfter = 0.0;
 
   // Observability (all off by default — bit-identical goldens, zero-alloc

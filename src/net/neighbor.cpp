@@ -33,6 +33,14 @@ KnowledgeScratch& knowledgeScratch() {
   return scratch;
 }
 
+/// Where `id` sits, or would be inserted, in an id-sorted table.
+template <class Table>
+auto lowerBound(Table& table, int id) {
+  return std::lower_bound(
+      table.begin(), table.end(), id,
+      [](const auto& entry, int key) { return entry.first < key; });
+}
+
 }  // namespace
 
 NeighborService::NeighborService(sim::Simulator& sim, mac::Mac& mac, int self,
@@ -50,13 +58,19 @@ NeighborService::NeighborService(sim::Simulator& sim, mac::Mac& mac, int self,
   if (params_.helloInterval <= 0.0 || params_.expiry <= 0.0) {
     throw std::invalid_argument{"NeighborService: bad interval/expiry"};
   }
-  // Size the 1-hop table for the expected neighborhood up front so the
-  // per-hello inserts on the hot path never rehash.
-  table_.reserve(params_.expectedNeighbors);
 }
 
 bool NeighborService::fresh(const NeighborRecord& r) const {
   return sim_.now() - r.heard <= params_.expiry;
+}
+
+const NeighborService::NeighborRecord* NeighborService::freshRecord(
+    int id) const {
+  const auto it = lowerBound(table_, id);
+  if (it == table_.end() || it->first != id || !fresh(it->second)) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
 void NeighborService::start() {
@@ -76,32 +90,14 @@ void NeighborService::sendHello() {
   hello.sentAt = sim_.now();
   hello.neighbors.clear();
   std::size_t bytes = params_.baseBytes;
-  const double evictHorizon = params_.evictAfterFactor > 0.0
-                                  ? params_.evictAfterFactor * params_.expiry
-                                  : 0.0;
-  for (auto it = table_.begin(); it != table_.end();) {
-    NeighborRecord& rec = it->second;
-    if (fresh(rec)) {
-      if (params_.includeNeighborList) {
-        hello.neighbors.push_back({it->first, rec.pos, rec.heard});
-        bytes += params_.perNeighborBytes;
-      }
-      ++it;
-      continue;
-    }
-    // Stale record. Its `reported` list is dead weight: no reader looks at
-    // a stale record's entries, and a future hello from this id overwrites
-    // them — so freeing the heap now is observation-equivalent and keeps
-    // long runs from accumulating one 2-hop snapshot per node ever heard.
-    if (!rec.reported.empty()) {
-      rec.reported.clear();
-      rec.reported.shrink_to_fit();
-    }
-    if (evictHorizon > 0.0 &&
-        sim_.now() - rec.heard > params_.expiry + evictHorizon) {
-      it = table_.erase(it);
-    } else {
-      ++it;
+  // A record stale now stays stale until its node is heard again, and a
+  // re-heard node is a new contact either way, so dropping it loses nothing.
+  std::erase_if(table_,
+                [&](const auto& entry) { return !fresh(entry.second); });
+  if (params_.includeNeighborList) {
+    for (const auto& [id, rec] : table_) {
+      hello.neighbors.push_back({id, rec.pos, rec.heard});
+      bytes += params_.perNeighborBytes;
     }
   }
   Packet p;
@@ -120,9 +116,9 @@ void NeighborService::sendHello() {
 void NeighborService::saveState(ckpt::Encoder& e) const {
   const auto rngState = rng_.state();
   for (const std::uint64_t word : rngState) e.u64(word);
-  ckpt::saveUnorderedMap(
-      e, table_,
-      [](ckpt::Encoder& enc, const int id, const NeighborRecord& rec) {
+  ckpt::saveKeyed(
+      e, table_, [](ckpt::Encoder& enc, const auto& item) {
+        const auto& [id, rec] = item;
         enc.i32(id);
         ckpt::savePoint(enc, rec.pos);
         enc.f64(rec.heard);
@@ -142,8 +138,8 @@ void NeighborService::restoreState(ckpt::Decoder& d) {
   std::array<std::uint64_t, 4> rngState{};
   for (std::uint64_t& word : rngState) word = d.u64();
   rng_.setState(rngState);
-  ckpt::loadUnorderedMap(d, table_, [](ckpt::Decoder& dec) {
-    const int id = dec.i32();
+  ckpt::loadKeyed(d, table_, [](ckpt::Decoder& dec) {
+    const int id = dec.nodeId();
     NeighborRecord rec;
     rec.pos = ckpt::loadPoint(dec);
     rec.heard = dec.f64();
@@ -151,7 +147,7 @@ void NeighborService::restoreState(ckpt::Decoder& d) {
     rec.reported.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       HelloPayload::Entry entry;
-      entry.id = dec.i32();
+      entry.id = dec.nodeId();
       entry.pos = ckpt::loadPoint(dec);
       entry.heardAt = dec.f64();
       rec.reported.push_back(entry);
@@ -169,7 +165,11 @@ bool NeighborService::handlePacket(const Packet& packet, int /*fromMac*/) {
   if (hello == nullptr) return false;
   ++hellosReceived_;
 
-  NeighborRecord& rec = table_[hello->id];
+  auto it = lowerBound(table_, hello->id);
+  if (it == table_.end() || it->first != hello->id) {
+    it = table_.insert(it, {hello->id, NeighborRecord{}});
+  }
+  NeighborRecord& rec = it->second;
   const bool wasFresh = fresh(rec);
   rec.pos = hello->pos;
   rec.heard = sim_.now();
@@ -191,25 +191,24 @@ std::vector<int> NeighborService::currentNeighbors() const {
   for (const auto& [id, rec] : table_) {
     if (fresh(rec)) out.push_back(id);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 bool NeighborService::isNeighbor(int id) const {
-  const auto it = table_.find(id);
-  return it != table_.end() && fresh(it->second);
+  return freshRecord(id) != nullptr;
 }
 
 std::optional<geom::Point2> NeighborService::neighborPosition(int id) const {
-  const auto it = table_.find(id);
-  if (it == table_.end() || !fresh(it->second)) return std::nullopt;
-  return it->second.pos;
+  const NeighborRecord* rec = freshRecord(id);
+  if (rec == nullptr) return std::nullopt;
+  return rec->pos;
 }
 
 std::vector<spanner::KnownNode> NeighborService::knowledge() const {
-  // Called once per route check per node. The table keeps every node ever
-  // heard, so size the output from the fresh records alone: one entry each
-  // plus at most one per entry they reported.
+  // Called once per route check per node. Records that went stale since
+  // the last beacon are still in the table, so size the output from the
+  // fresh records alone: one entry each plus at most one per entry they
+  // reported.
   std::size_t bound = 0;
   for (const auto& [id, rec] : table_) {
     if (fresh(rec)) bound += 1 + rec.reported.size();

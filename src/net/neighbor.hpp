@@ -10,10 +10,15 @@
 /// receivers exactly the distance-2 knowledge the paper's LDTG construction
 /// uses. Because beacons are periodic, positions known to neighbors are
 /// slightly stale — the same artifact the paper notes for IMEP.
+///
+/// The table is a flat vector sorted by id, and each beacon drops the
+/// records that have gone stale. Every reader sees fresh records only, in
+/// id order, so the hello payload and knowledge() come out in id order by
+/// construction and never depend on a container's iteration order.
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -54,18 +59,6 @@ class NeighborService {
     std::size_t baseBytes = 20;    // id + position + timestamp
     std::size_t perNeighborBytes = 12;
     bool includeNeighborList = true;  // piggyback 1-hop table (2-hop info)
-    /// Expected 1-hop neighborhood size; the table reserves this many
-    /// buckets up front so steady-state hello handling never rehashes.
-    std::size_t expectedNeighbors = 32;
-    /// Steady-state memory bound for long/large runs: records that have
-    /// been stale for more than `evictAfterFactor * expiry` seconds are
-    /// erased during the beacon sweep. 0 (default) keeps every record for
-    /// the life of the node — the historical behavior the goldens were
-    /// recorded under. Eviction never changes which neighbors are *fresh*,
-    /// but re-inserting a previously-erased id can land at a different
-    /// hash-table position than an in-place update would have, which can
-    /// reorder hello payloads — hence opt-in rather than always-on.
-    double evictAfterFactor = 0.0;
   };
 
   /// New-contact callback: fires when a hello arrives from a node that was
@@ -120,10 +113,8 @@ class NeighborService {
     return helloSendFailures_;
   }
 
-  /// Checkpoint support. The neighbor table's *iteration order* is
-  /// observable (it drives hello payload order and knowledge(), which drive
-  /// LDTG construction and routing), so it round-trips through the
-  /// order-preserving container codec.
+  /// Checkpoint support: the table round-trips record for record, stale
+  /// records included (a snapshot can fall between two beacons).
   void saveState(ckpt::Encoder& e) const;
   void restoreState(ckpt::Decoder& d);
 
@@ -139,6 +130,8 @@ class NeighborService {
   };
 
   [[nodiscard]] bool fresh(const NeighborRecord& r) const;
+  /// The record for `id` if it is fresh, else null.
+  [[nodiscard]] const NeighborRecord* freshRecord(int id) const;
 
   sim::Simulator& sim_;
   mac::Mac& mac_;
@@ -147,7 +140,7 @@ class NeighborService {
   Params params_;
   sim::Rng rng_;
 
-  std::unordered_map<int, NeighborRecord> table_;
+  std::vector<std::pair<int, NeighborRecord>> table_;  // ascending id
   ContactCallback onContact_;
   LocationSampleCallback onLocationSample_;
   std::uint64_t hellosSent_ = 0;

@@ -97,10 +97,7 @@ void DirectDeliveryAgent::saveState(ckpt::Encoder& e) const {
   for (const std::uint64_t word : rng_.state()) e.u64(word);
   neighbors_.saveState(e);
   buffer_.saveState(e);
-  ckpt::saveUnorderedSet(e, deliveredHere_,
-                         [](ckpt::Encoder& enc, const dtn::MessageId& id) {
-                           ckpt::saveMessageId(enc, id);
-                         });
+  ckpt::saveKeyed(e, deliveredHere_, ckpt::saveMessageId);
   e.u64(dataSent_);
   e.u64(sendRejects_);
   e.i32(nextSeq_);
@@ -112,9 +109,7 @@ void DirectDeliveryAgent::restoreState(ckpt::Decoder& d) {
   rng_.setState(rngState);
   neighbors_.restoreState(d);
   buffer_.restoreState(d);
-  ckpt::loadUnorderedSet(d, deliveredHere_, [](ckpt::Decoder& dec) {
-    return ckpt::loadMessageId(dec);
-  });
+  ckpt::loadKeyed(d, deliveredHere_, ckpt::loadMessageId);
   dataSent_ = d.u64();
   sendRejects_ = d.u64();
   nextSeq_ = d.i32();

@@ -203,34 +203,25 @@ void EpidemicAgent::saveState(ckpt::Encoder& e) const {
   for (const std::uint64_t word : rng_.state()) e.u64(word);
   neighbors_.saveState(e);
   buffer_.saveState(e);
-  ckpt::saveUnorderedSet(e, deliveredHere_,
-                         [](ckpt::Encoder& enc, const dtn::MessageId& id) {
-                           ckpt::saveMessageId(enc, id);
-                         });
+  ckpt::saveKeyed(e, deliveredHere_, ckpt::saveMessageId);
   e.size(additions_.size());
   for (const auto& [seq, id] : additions_) {
     e.u64(seq);
     ckpt::saveMessageId(e, id);
   }
   e.u64(addSeq_);
-  ckpt::saveUnorderedMap(
-      e, offeredUpTo_,
-      [](ckpt::Encoder& enc, const int id, const std::uint64_t seq) {
-        enc.i32(id);
-        enc.u64(seq);
-      });
-  ckpt::saveUnorderedMap(
-      e, lastOfferAt_,
-      [](ckpt::Encoder& enc, const int id, const sim::SimTime at) {
-        enc.i32(id);
-        enc.f64(at);
-      });
-  ckpt::saveUnorderedMap(
-      e, requestedAt_,
-      [](ckpt::Encoder& enc, const dtn::MessageId& id, const sim::SimTime at) {
-        ckpt::saveMessageId(enc, id);
-        enc.f64(at);
-      });
+  ckpt::saveKeyed(e, offeredUpTo_, [](ckpt::Encoder& enc, const auto& entry) {
+    enc.i32(entry.first);
+    enc.u64(entry.second);
+  });
+  ckpt::saveKeyed(e, lastOfferAt_, [](ckpt::Encoder& enc, const auto& entry) {
+    enc.i32(entry.first);
+    enc.f64(entry.second);
+  });
+  ckpt::saveKeyed(e, requestedAt_, [](ckpt::Encoder& enc, const auto& entry) {
+    ckpt::saveMessageId(enc, entry.first);
+    enc.f64(entry.second);
+  });
   e.u64(counters_.summariesSent);
   e.u64(counters_.requestsSent);
   e.u64(counters_.dataSent);
@@ -247,9 +238,7 @@ void EpidemicAgent::restoreState(ckpt::Decoder& d) {
   rng_.setState(rngState);
   neighbors_.restoreState(d);
   buffer_.restoreState(d);
-  ckpt::loadUnorderedSet(d, deliveredHere_, [](ckpt::Decoder& dec) {
-    return ckpt::loadMessageId(dec);
-  });
+  ckpt::loadKeyed(d, deliveredHere_, ckpt::loadMessageId);
   const std::size_t nAdd = d.checkedSize(d.u64(), 12);
   additions_.clear();
   additions_.reserve(nAdd);
@@ -258,17 +247,17 @@ void EpidemicAgent::restoreState(ckpt::Decoder& d) {
     additions_.emplace_back(seq, ckpt::loadMessageId(d));
   }
   addSeq_ = d.u64();
-  ckpt::loadUnorderedMap(d, offeredUpTo_, [](ckpt::Decoder& dec) {
+  ckpt::loadKeyed(d, offeredUpTo_, [](ckpt::Decoder& dec) {
     const int id = dec.i32();
     const std::uint64_t seq = dec.u64();
     return std::pair<int, std::uint64_t>{id, seq};
   });
-  ckpt::loadUnorderedMap(d, lastOfferAt_, [](ckpt::Decoder& dec) {
+  ckpt::loadKeyed(d, lastOfferAt_, [](ckpt::Decoder& dec) {
     const int id = dec.i32();
     const sim::SimTime at = dec.f64();
     return std::pair<int, sim::SimTime>{id, at};
   });
-  ckpt::loadUnorderedMap(d, requestedAt_, [](ckpt::Decoder& dec) {
+  ckpt::loadKeyed(d, requestedAt_, [](ckpt::Decoder& dec) {
     const dtn::MessageId id = ckpt::loadMessageId(dec);
     const sim::SimTime at = dec.f64();
     return std::pair<dtn::MessageId, sim::SimTime>{id, at};

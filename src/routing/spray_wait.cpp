@@ -202,16 +202,11 @@ void SprayWaitAgent::saveState(ckpt::Encoder& e) const {
   for (const std::uint64_t word : rng_.state()) e.u64(word);
   neighbors_.saveState(e);
   buffer_.saveState(e);
-  ckpt::saveUnorderedMap(
-      e, budget_,
-      [](ckpt::Encoder& enc, const dtn::MessageId& id, const int b) {
-        ckpt::saveMessageId(enc, id);
-        enc.i32(b);
-      });
-  ckpt::saveUnorderedSet(e, deliveredHere_,
-                         [](ckpt::Encoder& enc, const dtn::MessageId& id) {
-                           ckpt::saveMessageId(enc, id);
-                         });
+  ckpt::saveKeyed(e, budget_, [](ckpt::Encoder& enc, const auto& entry) {
+    ckpt::saveMessageId(enc, entry.first);
+    enc.i32(entry.second);
+  });
+  ckpt::saveKeyed(e, deliveredHere_, ckpt::saveMessageId);
   e.u64(dataSent_);
   e.u64(dataReceived_);
   e.u64(sendRejects_);
@@ -224,14 +219,12 @@ void SprayWaitAgent::restoreState(ckpt::Decoder& d) {
   rng_.setState(rngState);
   neighbors_.restoreState(d);
   buffer_.restoreState(d);
-  ckpt::loadUnorderedMap(d, budget_, [](ckpt::Decoder& dec) {
+  ckpt::loadKeyed(d, budget_, [](ckpt::Decoder& dec) {
     const dtn::MessageId id = ckpt::loadMessageId(dec);
     const int b = dec.i32();
     return std::pair<dtn::MessageId, int>{id, b};
   });
-  ckpt::loadUnorderedSet(d, deliveredHere_, [](ckpt::Decoder& dec) {
-    return ckpt::loadMessageId(dec);
-  });
+  ckpt::loadKeyed(d, deliveredHere_, ckpt::loadMessageId);
   dataSent_ = d.u64();
   dataReceived_ = d.u64();
   sendRejects_ = d.u64();

@@ -10,17 +10,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "checkpoint/codec.hpp"
 #include "checkpoint/file.hpp"
 #include "checkpoint/scenario_checkpoint.hpp"
 #include "experiment/runner.hpp"
@@ -82,7 +89,7 @@ void reseal(std::vector<char>& bytes) {
                        glr::ckpt::fnv1a64(bytes.data(), bytes.size() - 8));
 }
 
-// GLRK v1 layout: a 48-byte header (simNow at 16, section count at 40),
+// GLRK v2 layout: a 48-byte header (simNow at 16, section count at 40),
 // then [u32 id][u64 length][payload] per section. The events section
 // (id 1) is a u64 record count and 60-byte records:
 // [u64 timeBits][u64 seq][u16 kind][u8 b0][u8 b1][i32 i0][i32 i1]
@@ -92,15 +99,19 @@ constexpr std::size_t kSectionCountAt = 40;
 constexpr std::size_t kFirstSectionAt = 48;
 constexpr std::size_t kRecordBytes = 60;
 
-/// Offset of the events section's payload (its record count).
-std::size_t eventsAt(const std::vector<char>& bytes) {
+/// Offset of section `id`'s payload; its length is the u64 just before.
+std::size_t sectionAt(const std::vector<char>& bytes, std::uint32_t id) {
   std::size_t at = kFirstSectionAt;
   for (;;) {
-    const auto id = getLe<std::uint32_t>(bytes, at);
     const auto len = getLe<std::uint64_t>(bytes, at + 4);
-    if (id == 1) return at + 12;
+    if (getLe<std::uint32_t>(bytes, at) == id) return at + 12;
     at += 12 + static_cast<std::size_t>(len);
   }
+}
+
+/// Offset of the events section's payload (its record count).
+std::size_t eventsAt(const std::vector<char>& bytes) {
+  return sectionAt(bytes, 1);
 }
 
 std::size_t recordAt(const std::vector<char>& bytes, std::size_t i) {
@@ -296,6 +307,115 @@ TEST(Checkpoint, DirectDeliveryRestoreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Restored state re-saves byte for byte: a run restored at t = 45 s writes,
+// at t = 90 s, the same snapshot as the uninterrupted run. runScenario keeps
+// only a run's latest snapshot, and the config digest pins the period and
+// the horizon, so the t = 45 s snapshot is caught on its way: the writer
+// assembles each snapshot in `path.tmp` and renames it over `path`, so a
+// `path.tmp` symlink routes the first snapshot's bytes to the link's target
+// (and that rename consumes the link).
+// ---------------------------------------------------------------------------
+
+void expectResavedSnapshotIdentical(ScenarioConfig cfg,
+                                    const std::string& name) {
+  namespace fs = std::filesystem;
+  cfg.checkpointEvery = 45.0;
+  cfg.simTime = 92.0;
+  cfg.checkpointPath = tmpPath(name);
+  const std::string first = tmpPath(name + ".t45");
+  fs::remove(first);
+  fs::remove(cfg.checkpointPath + ".tmp");
+  fs::create_symlink(first, cfg.checkpointPath + ".tmp");
+  const ScenarioResult golden = runScenario(cfg);
+  const std::vector<char> uninterrupted = slurp(cfg.checkpointPath);
+  ASSERT_EQ(getLe<double>(slurp(first), kSimNowAt), 45.0) << name;
+  ASSERT_EQ(getLe<double>(uninterrupted, kSimNowAt), 90.0) << name;
+
+  ScenarioConfig resumed = cfg;
+  resumed.restoreFrom = first;
+  resumed.checkpointPath = tmpPath(name + ".resumed");
+  const ScenarioResult tail = runScenario(resumed);
+  EXPECT_TRUE(bitIdenticalIgnoringWall(golden, tail)) << name;
+  EXPECT_TRUE(slurp(resumed.checkpointPath) == uninterrupted)
+      << name << ": the restored run's t = 90 s snapshot differs";
+  for (const std::string& path :
+       {cfg.checkpointPath, first, resumed.checkpointPath}) {
+    fs::remove(path);
+  }
+}
+
+TEST(Checkpoint, RestoredRunResavesIdenticalSnapshots) {
+  expectResavedSnapshotIdentical(fullStackConfig(), "ckpt_resave_full.bin");
+  expectResavedSnapshotIdentical(paperConfig(), "ckpt_resave_paper.bin");
+  expectResavedSnapshotIdentical(epidemicConfig(), "ckpt_resave_epi.bin");
+  expectResavedSnapshotIdentical(sprayConfig(), "ckpt_resave_spray.bin");
+  expectResavedSnapshotIdentical(directConfig(), "ckpt_resave_direct.bin");
+}
+
+// ---------------------------------------------------------------------------
+// Keyed-table codec: tables are written in ascending key order whatever the
+// container's iteration order, and read back with plain inserts; a table
+// whose keys are not strictly ascending is refused, naming the section.
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointCodec, KeyedTablesRoundTripInKeyOrder) {
+  std::unordered_map<int, double> map;
+  for (int k = 40; k > 0; --k) map[k * 7 % 41] = k * 0.5;
+  glr::ckpt::Encoder e;
+  glr::ckpt::saveKeyed(e, map, [](glr::ckpt::Encoder& enc, const auto& kv) {
+    enc.i32(kv.first);
+    enc.f64(kv.second);
+  });
+  const std::vector<unsigned char> bytes = e.take();
+  ASSERT_EQ(bytes.size(), 8u + 40u * 12u);
+  for (std::size_t i = 1; i < 40; ++i) {
+    std::int32_t prev = 0;
+    std::int32_t key = 0;
+    std::memcpy(&prev, &bytes[8 + (i - 1) * 12], 4);
+    std::memcpy(&key, &bytes[8 + i * 12], 4);
+    EXPECT_LT(prev, key);
+  }
+
+  std::map<int, double> back;
+  glr::ckpt::Decoder d(bytes.data(), bytes.size(), "test section");
+  glr::ckpt::loadKeyed(d, back, [](glr::ckpt::Decoder& dec) {
+    const int k = dec.i32();
+    return std::pair<int, double>{k, dec.f64()};
+  });
+  d.expectEnd();
+  EXPECT_EQ(back, (std::map<int, double>(map.begin(), map.end())));
+}
+
+TEST(CheckpointCodec, KeyedTableOutOfOrderRefused) {
+  const auto load = [](const std::vector<std::int32_t>& keys) {
+    glr::ckpt::Encoder e;
+    e.size(keys.size());
+    for (const std::int32_t k : keys) e.i32(k);
+    const std::vector<unsigned char> bytes = e.take();
+    glr::ckpt::Decoder d(bytes.data(), bytes.size(), "file.bin agent section");
+    std::unordered_set<std::int32_t> set;
+    glr::ckpt::loadKeyed(d, set, [](glr::ckpt::Decoder& dec) {
+      return dec.i32();
+    });
+    return set.size();
+  };
+  EXPECT_EQ(load({1, 4, 9}), 3u);
+  for (const auto& keys : {std::vector<std::int32_t>{1, 9, 4},   // swapped
+                           std::vector<std::int32_t>{1, 4, 4}}) {  // duplicate
+    try {
+      (void)load(keys);
+      ADD_FAILURE() << "keys " << keys[1] << ", " << keys[2] << " accepted";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string{err.what()}.find(
+                    "file.bin agent section: keyed table entry 2 is not "
+                    "after its predecessor in ascending key order"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Error paths: the reader refuses loudly, never limps.
 // ---------------------------------------------------------------------------
 
@@ -352,25 +472,19 @@ TEST(Checkpoint, VersionMismatchRefused) {
   ScenarioConfig cfg = snapshotScenario(path);
   (void)runScenario(cfg);
 
-  // Bump the version field (offset 4, u16 LE) and re-seal the checksum so
+  // Set the version field (offset 4, u16 LE) and re-seal the checksum so
   // the version check itself — not the integrity check — is what fires.
-  std::vector<char> bytes = slurp(path);
-  ASSERT_GT(bytes.size(), 16u);
-  bytes[4] = static_cast<char>(glr::ckpt::kCheckpointVersion + 1);
-  reseal(bytes);
-  spit(path, bytes);
-
-  ScenarioConfig resumed = cfg;
-  resumed.checkpointPath.clear();
-  resumed.restoreFrom = path;
-  try {
-    (void)runScenario(resumed);
-    FAIL() << "version mismatch not detected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("version"), std::string::npos)
-        << e.what();
-  }
+  // Version 1 wrote keyed tables in hash-table order with bucket counts.
+  const std::vector<char> valid = slurp(path);
   std::remove(path.c_str());
+  ASSERT_GT(valid.size(), 16u);
+  for (const int version : {1, glr::ckpt::kCheckpointVersion + 1}) {
+    std::vector<char> bytes = valid;
+    putLe<std::uint16_t>(bytes, 4, static_cast<std::uint16_t>(version));
+    reseal(bytes);
+    expectRefused(cfg, bytes, "ckpt_version.bin",
+                  "unsupported version " + std::to_string(version));
+  }
 }
 
 TEST(Checkpoint, DifferentConfigRefused) {
@@ -600,7 +714,8 @@ void mutateEvents(std::vector<char>& bytes, glr::sim::Rng& rng) {
   }
 }
 
-TEST(CheckpointMutation, EventsSectionMutantsFailLoudOrRunToTheEnd) {
+/// The snapshot every mutation test edits: the full stack, small and short.
+ScenarioConfig mutationConfig() {
   ScenarioConfig cfg = fullStackConfig();
   cfg.numNodes = 20;
   cfg.trafficNodes = 18;
@@ -609,40 +724,325 @@ TEST(CheckpointMutation, EventsSectionMutantsFailLoudOrRunToTheEnd) {
   cfg.checkpointEvery = 60.0;
   cfg.simTime = 64.0;
   cfg.checkpointPath = tmpPath("ckpt_mutation_seed.bin");
-  const std::vector<char> valid = validSnapshot(cfg);
+  return cfg;
+}
 
+/// Restores GLR_CKPT_MUTANTS (default 150) seeded mutants of `valid`, each
+/// with 1-3 `mutate(bytes, rng)` edits and re-sealed. Every mutant must be
+/// refused with a runtime_error or run to the end. Both must occur, and
+/// some refusal must contain `reached`, the check the mutator aims at.
+template <class Mutate>
+void expectMutantsFailLoudOrRun(const ScenarioConfig& cfg,
+                                const std::vector<char>& valid,
+                                std::uint64_t seed, const std::string& reached,
+                                Mutate&& mutate) {
   const char* env = std::getenv("GLR_CKPT_MUTANTS");
   const long mutants = env != nullptr ? std::atol(env) : 150;
-  glr::sim::Rng rng{2026};
+  glr::sim::Rng rng{seed};
   const std::string path = tmpPath("ckpt_mutant.bin");
   ScenarioConfig resumed = cfg;
   resumed.checkpointPath.clear();
   resumed.restoreFrom = path;
   long refused = 0;
   long ran = 0;
+  long reachedCount = 0;
   for (long m = 0; m < mutants; ++m) {
     std::vector<char> bytes = valid;
     const int edits = 1 + static_cast<int>(rng.below(3));
-    for (int e = 0; e < edits; ++e) mutateEvents(bytes, rng);
+    for (int e = 0; e < edits; ++e) mutate(bytes, rng);
     reseal(bytes);
     spit(path, bytes);
     try {
       (void)runScenario(resumed);
       ++ran;
-    } catch (const std::runtime_error&) {
+    } catch (const std::runtime_error& err) {
       ++refused;
+      if (std::string{err.what()}.find(reached) != std::string::npos) {
+        ++reachedCount;
+      }
     }
   }
   std::remove(path.c_str());
-  std::printf("%ld mutants: %ld refused, %ld ran to the end\n", mutants,
-              refused, ran);
+  std::printf("%ld mutants: %ld refused (%ld naming \"%s\"), %ld ran to "
+              "the end\n",
+              mutants, refused, reachedCount, reached.c_str(), ran);
   EXPECT_EQ(refused + ran, mutants);
   // Both outcomes must actually occur, or the mutator is not reaching the
-  // record checks (or never produces a restorable record).
+  // checks (or never produces a restorable file).
   if (mutants >= 50) {
     EXPECT_GT(refused, 0);
     EXPECT_GT(ran, 0);
+    EXPECT_GT(reachedCount, 0);
   }
+}
+
+TEST(CheckpointMutation, EventsSectionMutantsFailLoudOrRunToTheEnd) {
+  const ScenarioConfig cfg = mutationConfig();
+  expectMutantsFailLoudOrRun(cfg, validSnapshot(cfg), 2026, "events section",
+                             mutateEvents);
+}
+
+// ---------------------------------------------------------------------------
+// Keyed tables in the nodes section (id 3). A keyed table is a u64 count and
+// its entries in strictly ascending key order; every key starts with an i32
+// (a node id, or a message id's source). The tables are found by layout:
+// each entry field must be plausible for the scenario, and the fields
+// around a table anchor it.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kNodesSection = 3;
+
+/// Where one keyed table sits: its count field and where each entry starts.
+struct KeyedTable {
+  std::size_t countAt = 0;
+  std::vector<std::size_t> entries;
+  std::size_t end = 0;
+};
+
+/// Bounds-checked reader over a snapshot image: a short read or a failed
+/// `require` clears `ok`, and later reads return zero.
+struct Cursor {
+  const std::vector<char>& bytes;
+  std::size_t at;
+  std::size_t end;
+  bool ok = true;
+
+  template <class T>
+  T get() {
+    if (!ok || end - at < sizeof(T)) {
+      ok = false;
+      return T{};
+    }
+    const T v = getLe<T>(bytes, at);
+    at += sizeof(T);
+    return v;
+  }
+  void require(bool cond) { ok = ok && cond; }
+};
+
+/// Plausibility checks for fields of one scenario at one instant.
+struct Plausible {
+  const ScenarioConfig& cfg;
+  double now;
+
+  bool node(std::int64_t id) const { return id >= 0 && id < cfg.numNodes; }
+  bool time(double t) const { return t >= 0.0 && t <= now; }
+  bool pos(Cursor& c) const {
+    const double x = c.get<double>();
+    const double y = c.get<double>();
+    return x >= 0.0 && x <= cfg.areaWidth && y >= 0.0 && y <= cfg.areaHeight;
+  }
+  bool finite(double v, double lo) const { return std::isfinite(v) && v >= lo; }
+};
+
+/// Reads a keyed table whose entries `entry(c)` parses, returning each key.
+template <class Entry>
+KeyedTable readTable(Cursor& c, std::uint64_t maxCount, Entry&& entry) {
+  KeyedTable t;
+  t.countAt = c.at;
+  const auto n = c.get<std::uint64_t>();
+  c.require(n <= maxCount);
+  std::int64_t prev = -1;
+  for (std::uint64_t i = 0; c.ok && i < n; ++i) {
+    t.entries.push_back(c.at);
+    const std::int64_t key = entry(c);
+    c.require(key > prev);
+    prev = key;
+  }
+  t.end = c.at;
+  return t;
+}
+
+/// Every keyed table of the GLR agents in a snapshot's nodes section, with
+/// how many neighbor tables and agent tails (location table, delivered set,
+/// suspicion table) were found: one of each per node.
+struct GlrTables {
+  std::vector<KeyedTable> tables;
+  int neighborTables = 0;
+  int agentTails = 0;
+};
+
+GlrTables findGlrTables(const std::vector<char>& bytes,
+                        const ScenarioConfig& cfg) {
+  const Plausible ok{cfg, getLe<double>(bytes, kSimNowAt)};
+  const auto nodes = static_cast<std::uint64_t>(cfg.numNodes);
+  const std::size_t begin = sectionAt(bytes, kNodesSection);
+  const std::size_t end =
+      begin + getLe<std::uint64_t>(bytes, begin - 8);
+  const auto neighborEntry = [&](Cursor& c) -> std::int64_t {
+    const std::int32_t id = c.get<std::int32_t>();
+    c.require(ok.node(id) && ok.pos(c) && ok.time(c.get<double>()));
+    const auto reported = c.get<std::uint64_t>();
+    c.require(reported <= nodes);
+    for (std::uint64_t i = 0; c.ok && i < reported; ++i) {
+      c.require(ok.node(c.get<std::int32_t>()) && ok.pos(c) &&
+                ok.time(c.get<double>()));
+    }
+    return id;
+  };
+  const auto locationEntry = [&](Cursor& c) -> std::int64_t {
+    const std::int32_t id = c.get<std::int32_t>();
+    c.require(ok.node(id) && ok.pos(c) && ok.time(c.get<double>()));
+    return id;
+  };
+  const auto messageIdEntry = [&](Cursor& c) -> std::int64_t {
+    const std::int32_t src = c.get<std::int32_t>();
+    const std::int32_t seq = c.get<std::int32_t>();
+    c.require(ok.node(src) && seq >= 0);
+    return (static_cast<std::int64_t>(src) << 32) | seq;
+  };
+  const auto suspicionEntry = [&](Cursor& c) -> std::int64_t {
+    const std::int32_t id = c.get<std::int32_t>();
+    const std::int32_t failures = c.get<std::int32_t>();
+    c.require(ok.node(id) && failures >= 0 && std::isfinite(c.get<double>()));
+    return id;
+  };
+
+  // RNG state: words with a plausible share of set bits.
+  const auto randomWords = [](Cursor& c, int n) {
+    bool random = true;
+    for (int w = 0; w < n; ++w) {
+      const int bits = std::popcount(c.get<std::uint64_t>());
+      random = random && bits >= 12 && bits <= 52;
+    }
+    return random;
+  };
+
+  GlrTables found;
+  std::size_t neighborEnd = 0;
+  for (std::size_t at = begin; at + 8 <= end; ++at) {
+    // Neighbor table: after the agent's and the service's RNG words (four
+    // each, so random-looking), and before the service's hello counters.
+    // The tail of a table found already can pass for an empty one.
+    if (at >= begin + 64 && at >= neighborEnd) {
+      Cursor c{bytes, at - 64, end};
+      c.require(randomWords(c, 8));
+      KeyedTable t = readTable(c, nodes, neighborEntry);
+      const auto sent = c.get<std::uint64_t>();
+      (void)c.get<std::uint64_t>();
+      const auto failed = c.get<std::uint64_t>();
+      c.require(sent >= 1 && sent <= 100000 && failed <= sent);
+      if (c.ok) {
+        neighborEnd = t.end;
+        found.tables.push_back(std::move(t));
+        ++found.neighborTables;
+      }
+    }
+    // Agent tail: location table, delivered set, suspicion table, then 17
+    // counters, nextSeq, checkQueued, cwnd, ssthresh, srtt, rttvar, haveRtt.
+    Cursor c{bytes, at, end};
+    KeyedTable location = readTable(c, nodes, locationEntry);
+    KeyedTable delivered = readTable(c, 1000000, messageIdEntry);
+    KeyedTable suspicion = readTable(c, nodes, suspicionEntry);
+    for (int i = 0; i < 17; ++i) (void)c.get<std::uint64_t>();
+    const std::int32_t nextSeq = c.get<std::int32_t>();
+    c.require(nextSeq >= 0 && c.get<std::uint8_t>() <= 1);
+    c.require(ok.finite(c.get<double>(), 1e-9) &&
+              ok.finite(c.get<double>(), 1e-9) &&
+              ok.finite(c.get<double>(), 0.0) &&
+              ok.finite(c.get<double>(), 0.0));
+    c.require(c.get<std::uint8_t>() <= 1);
+    // Then the section ends, or the next node's MAC state begins: four RNG
+    // words and the interface queue's length.
+    if (c.ok && c.at != end) {
+      c.require(randomWords(c, 4) && c.get<std::uint64_t>() <= cfg.queueLimit);
+    }
+    if (c.ok) {
+      found.tables.push_back(std::move(location));
+      found.tables.push_back(std::move(delivered));
+      found.tables.push_back(std::move(suspicion));
+      ++found.agentTails;
+    }
+  }
+  return found;
+}
+
+/// One random edit of a keyed table: its count, one entry's key, or the
+/// order of two adjacent entries.
+void mutateTable(std::vector<char>& bytes, const KeyedTable& t, int nodes,
+                 glr::sim::Rng& rng) {
+  const std::size_t n = t.entries.size();
+  switch (rng.below(std::min<std::uint64_t>(n + 1, 3))) {
+    case 0:  // count
+      putLe<std::uint64_t>(bytes, t.countAt,
+                           rng.below(2) == 0 ? n + 1 - 2 * rng.below(2)
+                                             : rng());
+      break;
+    case 1: {  // key: a neighbor's, an edge of the id range, or anything
+      const std::int32_t picks[] = {-1, 0, nodes - 1, nodes,
+                                    std::numeric_limits<std::int32_t>::min(),
+                                    std::numeric_limits<std::int32_t>::max()};
+      putLe<std::int32_t>(bytes, t.entries[rng.below(n)],
+                          rng.below(2) == 0
+                              ? picks[rng.below(6)]
+                              : static_cast<std::int32_t>(rng.below(
+                                    static_cast<std::uint64_t>(nodes) + 4)));
+      break;
+    }
+    default: {  // swap entries i and i + 1 (they may differ in length)
+      const std::size_t i = rng.below(n - 1);
+      const std::size_t last = i + 2 < n ? t.entries[i + 2] : t.end;
+      std::rotate(bytes.begin() + static_cast<std::ptrdiff_t>(t.entries[i]),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(t.entries[i + 1]),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(last));
+      break;
+    }
+  }
+}
+
+TEST(CheckpointMutation, KeyedTableMutantsFailLoudOrRunToTheEnd) {
+  const ScenarioConfig cfg = mutationConfig();
+  const std::vector<char> valid = validSnapshot(cfg);
+  const GlrTables found = findGlrTables(valid, cfg);
+  ASSERT_EQ(found.neighborTables, cfg.numNodes);
+  ASSERT_EQ(found.agentTails, cfg.numNodes);
+  expectMutantsFailLoudOrRun(
+      cfg, valid, 2027, "ascending key order",
+      [&](std::vector<char>& bytes, glr::sim::Rng& rng) {
+        mutateTable(bytes, found.tables[rng.below(found.tables.size())],
+                    cfg.numNodes, rng);
+      });
+}
+
+/// A valid snapshot of mutationConfig() and its first neighbor table with
+/// at least two entries (neighbor tables come first in each node's block).
+std::pair<std::vector<char>, KeyedTable> snapshotWithNeighborPair(
+    const ScenarioConfig& cfg) {
+  std::vector<char> bytes = validSnapshot(cfg);
+  const GlrTables found = findGlrTables(bytes, cfg);
+  EXPECT_EQ(found.neighborTables, cfg.numNodes);
+  const auto table = std::find_if(
+      found.tables.begin(), found.tables.end(),
+      [](const KeyedTable& t) { return t.entries.size() >= 2; });
+  EXPECT_NE(table, found.tables.end());
+  return {std::move(bytes), table != found.tables.end() ? *table
+                                                        : KeyedTable{}};
+}
+
+TEST(Checkpoint, SwappedNeighborKeysRefused) {
+  const ScenarioConfig cfg = mutationConfig();
+  auto [bytes, table] = snapshotWithNeighborPair(cfg);
+  ASSERT_GE(table.entries.size(), 2u);
+  const auto first = getLe<std::int32_t>(bytes, table.entries[0]);
+  const auto second = getLe<std::int32_t>(bytes, table.entries[1]);
+  putLe<std::int32_t>(bytes, table.entries[0], second);
+  putLe<std::int32_t>(bytes, table.entries[1], first);
+  reseal(bytes);
+  expectRefused(cfg, bytes, "ckpt_swapped_keys.bin",
+                "nodes section: keyed table entry 1 is not after its "
+                "predecessor in ascending key order");
+}
+
+TEST(Checkpoint, OutOfRangeNeighborIdRefused) {
+  // Still ascending, but not a node: restoring it would let knowledge()
+  // size its per-id index by the bogus id.
+  const ScenarioConfig cfg = mutationConfig();
+  auto [bytes, table] = snapshotWithNeighborPair(cfg);
+  ASSERT_GE(table.entries.size(), 2u);
+  putLe<std::int32_t>(bytes, table.entries.back(), cfg.numNodes);
+  reseal(bytes);
+  expectRefused(cfg, bytes, "ckpt_neighbor_id.bin",
+                "nodes section: node id 20 is outside [0, 20)");
 }
 
 }  // namespace

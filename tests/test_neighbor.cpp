@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "checkpoint/codec.hpp"
 #include "net/neighbor.hpp"
 #include "net/world.hpp"
 #include "phy/propagation.hpp"
@@ -34,6 +36,9 @@ class BeaconAgent final : public glr::net::Agent {
 
   void start() override { service_.start(); }
   void onPacket(const Packet& p, int from) override {
+    if (const auto* hello = p.payload.get<glr::net::HelloPayload>()) {
+      lastHello_ = *hello;
+    }
     service_.handlePacket(p, from);
   }
   /// The only event routed here is the hello timer (kHello).
@@ -42,10 +47,37 @@ class BeaconAgent final : public glr::net::Agent {
   }
 
   NeighborService& service() { return service_; }
+  /// The last hello this node heard.
+  const glr::net::HelloPayload& lastHello() const { return lastHello_; }
 
  private:
   NeighborService service_;
+  glr::net::HelloPayload lastHello_;
 };
+
+/// Delivers a hello from `id` straight to `service`, as if just heard.
+void injectHello(NeighborService& service, const Simulator& sim, int id,
+                 std::vector<glr::net::HelloPayload::Entry> neighbors = {}) {
+  Packet p;
+  p.kind = glr::net::kHelloKind;
+  p.payload = glr::net::Payload::create<glr::net::HelloPayload>();
+  auto& hello = p.payload.mutableValue<glr::net::HelloPayload>();
+  hello.id = id;
+  hello.pos = {1000.0 + id, 0.0};
+  hello.sentAt = sim.now();
+  hello.neighbors = std::move(neighbors);
+  ASSERT_TRUE(service.handlePacket(p, id));
+}
+
+/// Records in the neighbor table, fresh or stale, read from its
+/// checkpoint encoding: four RNG words, then the table's entry count.
+std::uint64_t tableRecords(const NeighborService& service) {
+  glr::ckpt::Encoder e;
+  service.saveState(e);
+  glr::ckpt::Decoder d(e.data().data(), e.data().size(), "neighbor table");
+  for (int word = 0; word < 4; ++word) (void)d.u64();
+  return d.u64();
+}
 
 struct Harness {
   Simulator sim;
@@ -137,9 +169,9 @@ TEST(Neighbor, LocationSamplesIncludeTwoHop) {
 }
 
 TEST(Neighbor, KnowledgeReservesForFreshRecordsOnly) {
-  // The table keeps every node ever heard (eviction is off by default), so
-  // knowledge() must size its output from the fresh records, not from the
-  // table: 300 stale records leave its capacity where it was.
+  // 300 nodes heard once, each reporting three more, then silent: once they
+  // go stale, knowledge() must not size its output from them, and a beacon
+  // must drop them from the table.
   Harness h{{{0, 0}, {100, 0}}};
   NeighborService& service = h.agents[0]->service();
   h.sim.run(3.0);
@@ -147,18 +179,11 @@ TEST(Neighbor, KnowledgeReservesForFreshRecordsOnly) {
   ASSERT_EQ(before.size(), 1u);
 
   for (int id = 100; id < 400; ++id) {
-    Packet p;
-    p.kind = glr::net::kHelloKind;
-    p.payload = glr::net::Payload::create<glr::net::HelloPayload>();
-    auto& hello = p.payload.mutableValue<glr::net::HelloPayload>();
-    hello.id = id;
-    hello.pos = {1000.0 + id, 0.0};
-    hello.sentAt = h.sim.now();
-    hello.neighbors.clear();
+    std::vector<glr::net::HelloPayload::Entry> reported;
     for (int k = 0; k < 3; ++k) {
-      hello.neighbors.push_back({1000 + 3 * id + k, {0, 0}, h.sim.now()});
+      reported.push_back({1000 + 3 * id + k, {0, 0}, h.sim.now()});
     }
-    ASSERT_TRUE(service.handlePacket(p, id));
+    injectHello(service, h.sim, id, std::move(reported));
   }
   EXPECT_EQ(service.knowledge().size(), 301u + 300u * 3u);
   h.sim.run(10.0);  // the injected records go stale; node 1 stays fresh
@@ -167,6 +192,56 @@ TEST(Neighbor, KnowledgeReservesForFreshRecordsOnly) {
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after.capacity(), before.capacity())
       << "knowledge() reserved for stale records";
+  EXPECT_EQ(tableRecords(service), 1u) << "stale records outlived a beacon";
+}
+
+TEST(Neighbor, HelloAndKnowledgeAreInIdOrder) {
+  Harness h{{{0, 0}, {100, 0}}};
+  NeighborService& service = h.agents[0]->service();
+  h.sim.run(3.0);
+  for (int id = 40; id >= 10; --id) injectHello(service, h.sim, id);
+  // Node 0 beacons at least once within the next 0.825 s; the injected
+  // records stay fresh for 2 s.
+  h.sim.run(h.sim.now() + 1.0);
+
+  std::vector<int> helloIds;
+  for (const auto& entry : h.agents[1]->lastHello().neighbors) {
+    helloIds.push_back(entry.id);
+  }
+  std::vector<int> knowledgeIds;
+  for (const auto& known : service.knowledge()) {
+    knowledgeIds.push_back(known.id);
+  }
+  std::vector<int> expected{1};
+  for (int id = 10; id <= 40; ++id) expected.push_back(id);
+  EXPECT_EQ(helloIds, expected);
+  EXPECT_EQ(knowledgeIds, expected);
+  EXPECT_EQ(service.currentNeighbors(), expected);
+}
+
+TEST(Neighbor, StaleRecordsLeaveAtTheNextBeacon) {
+  Harness h{{{0, 0}, {100, 0}}};
+  NeighborService& service = h.agents[0]->service();
+  int contacts = 0;
+  service.setContactCallback([&](int id) {
+    if (id == 50) ++contacts;
+  });
+  h.sim.run(3.0);
+  injectHello(service, h.sim, 50);
+  EXPECT_EQ(contacts, 1);
+  EXPECT_EQ(tableRecords(service), 2u);
+
+  // Stale after 2 s; node 0 beacons at least once in the 0.825 s after.
+  h.sim.run(h.sim.now() + 3.0);
+  EXPECT_FALSE(service.isNeighbor(50));
+  EXPECT_EQ(tableRecords(service), 1u);
+
+  // Heard again: one new contact, however often it is heard.
+  injectHello(service, h.sim, 50);
+  injectHello(service, h.sim, 50);
+  EXPECT_EQ(contacts, 2);
+  EXPECT_TRUE(service.isNeighbor(50));
+  EXPECT_EQ(tableRecords(service), 2u);
 }
 
 TEST(Neighbor, HelloTrafficCounted) {
