@@ -11,10 +11,11 @@
 /// uses. Because beacons are periodic, positions known to neighbors are
 /// slightly stale — the same artifact the paper notes for IMEP.
 ///
-/// The table is a flat vector sorted by id, and each beacon drops the
-/// records that have gone stale. Every reader sees fresh records only, in
-/// id order, so the hello payload and knowledge() come out in id order by
-/// construction and never depend on a container's iteration order.
+/// The table is a flat vector sorted by id. Each beacon drops the records
+/// that have gone stale, and every reader skips those that went stale
+/// since, so the hello payload, currentNeighbors() and knowledge()'s
+/// one-hop entries come out in id order by construction. No output depends
+/// on a container's iteration order.
 
 #include <functional>
 #include <optional>
@@ -101,7 +102,9 @@ class NeighborService {
 
   /// The node's <= 2-hop knowledge for LDTG construction: fresh 1-hop
   /// neighbors (as oneHop) plus the nodes they reported (as two-hop),
-  /// deduplicated keeping the freshest observation.
+  /// deduplicated keeping the freshest observation. One-hop entries come
+  /// first, in id order; two-hop entries follow in the order their
+  /// reporters, taken in id order, listed them.
   [[nodiscard]] std::vector<spanner::KnownNode> knowledge() const;
 
   [[nodiscard]] std::uint64_t hellosSent() const { return hellosSent_; }

@@ -785,9 +785,13 @@ TEST(CheckpointMutation, EventsSectionMutantsFailLoudOrRunToTheEnd) {
 // ---------------------------------------------------------------------------
 // Keyed tables in the nodes section (id 3). A keyed table is a u64 count and
 // its entries in strictly ascending key order; every key starts with an i32
-// (a node id, or a message id's source). The tables are found by layout:
-// each entry field must be plausible for the scenario, and the fields
-// around a table anchor it.
+// (a node id, or a message id's source). A node's block is its MAC state,
+// then its agent: four RNG words, the neighbor service (four RNG words, the
+// neighbor table, three hello counters), the message buffer, and the
+// protocol's own fields. A MAC queue holds packets of any layout, so each
+// agent is found by its neighbor table (after eight random-looking words,
+// every field plausible for the scenario) and read field by field from
+// there to the start of the next node's MAC state.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kNodesSection = 3;
@@ -816,6 +820,10 @@ struct Cursor {
     const T v = getLe<T>(bytes, at);
     at += sizeof(T);
     return v;
+  }
+  void skip(std::uint64_t n) {
+    ok = ok && end - at >= n;
+    if (ok) at += static_cast<std::size_t>(n);
   }
   void require(bool cond) { ok = ok && cond; }
 };
@@ -853,51 +861,78 @@ KeyedTable readTable(Cursor& c, std::uint64_t maxCount, Entry&& entry) {
   return t;
 }
 
-/// Every keyed table of the GLR agents in a snapshot's nodes section, with
-/// how many neighbor tables and agent tails (location table, delivered set,
-/// suspicion table) were found: one of each per node.
-struct GlrTables {
-  std::vector<KeyedTable> tables;
-  int neighborTables = 0;
-  int agentTails = 0;
+/// The keyed tables of every agent in a snapshot's nodes section, in file
+/// order, and each agent's neighbor table on its own.
+struct AgentTables {
+  std::vector<KeyedTable> all;
+  std::vector<KeyedTable> neighbor;
 };
 
-GlrTables findGlrTables(const std::vector<char>& bytes,
-                        const ScenarioConfig& cfg) {
+AgentTables findAgentTables(const std::vector<char>& bytes,
+                            const ScenarioConfig& cfg) {
   const Plausible ok{cfg, getLe<double>(bytes, kSimNowAt)};
   const auto nodes = static_cast<std::uint64_t>(cfg.numNodes);
+  constexpr std::uint64_t kMaxMessages = 1000000;
   const std::size_t begin = sectionAt(bytes, kNodesSection);
-  const std::size_t end =
-      begin + getLe<std::uint64_t>(bytes, begin - 8);
-  const auto neighborEntry = [&](Cursor& c) -> std::int64_t {
+  const std::size_t end = begin + getLe<std::uint64_t>(bytes, begin - 8);
+
+  const auto nodeKey = [&](Cursor& c) -> std::int64_t {
     const std::int32_t id = c.get<std::int32_t>();
-    c.require(ok.node(id) && ok.pos(c) && ok.time(c.get<double>()));
-    const auto reported = c.get<std::uint64_t>();
-    c.require(reported <= nodes);
-    for (std::uint64_t i = 0; c.ok && i < reported; ++i) {
-      c.require(ok.node(c.get<std::int32_t>()) && ok.pos(c) &&
-                ok.time(c.get<double>()));
-    }
+    c.require(ok.node(id));
     return id;
   };
-  const auto locationEntry = [&](Cursor& c) -> std::int64_t {
-    const std::int32_t id = c.get<std::int32_t>();
-    c.require(ok.node(id) && ok.pos(c) && ok.time(c.get<double>()));
-    return id;
-  };
-  const auto messageIdEntry = [&](Cursor& c) -> std::int64_t {
+  const auto messageKey = [&](Cursor& c) -> std::int64_t {
     const std::int32_t src = c.get<std::int32_t>();
     const std::int32_t seq = c.get<std::int32_t>();
     c.require(ok.node(src) && seq >= 0);
     return (static_cast<std::int64_t>(src) << 32) | seq;
   };
-  const auto suspicionEntry = [&](Cursor& c) -> std::int64_t {
-    const std::int32_t id = c.get<std::int32_t>();
-    const std::int32_t failures = c.get<std::int32_t>();
-    c.require(ok.node(id) && failures >= 0 && std::isfinite(c.get<double>()));
+  // A position and the time it was observed.
+  const auto observation = [&](Cursor& c) {
+    c.require(ok.pos(c) && ok.time(c.get<double>()));
+  };
+  const auto neighborEntry = [&](Cursor& c) {
+    const std::int64_t id = nodeKey(c);
+    observation(c);
+    const auto reported = c.get<std::uint64_t>();
+    c.require(reported <= nodes);
+    for (std::uint64_t i = 0; c.ok && i < reported; ++i) {
+      (void)nodeKey(c);
+      observation(c);
+    }
     return id;
   };
-
+  const auto locationEntry = [&](Cursor& c) {
+    const std::int64_t id = nodeKey(c);
+    observation(c);
+    return id;
+  };
+  const auto suspicionEntry = [&](Cursor& c) {
+    const std::int64_t id = nodeKey(c);
+    c.require(c.get<std::int32_t>() >= 0 && std::isfinite(c.get<double>()));
+    return id;
+  };
+  const auto offerEntry = [&](Cursor& c) {  // watermark (any u64)
+    const std::int64_t id = nodeKey(c);
+    (void)c.get<std::uint64_t>();
+    return id;
+  };
+  const auto offerTimeEntry = [&](Cursor& c) {
+    const std::int64_t id = nodeKey(c);
+    c.require(ok.time(c.get<double>()));
+    return id;
+  };
+  const auto requestEntry = [&](Cursor& c) {
+    const std::int64_t id = messageKey(c);
+    c.require(ok.time(c.get<double>()));
+    return id;
+  };
+  const auto budgetEntry = [&](Cursor& c) {
+    const std::int64_t id = messageKey(c);
+    const std::int32_t budget = c.get<std::int32_t>();
+    c.require(budget >= 0 && budget <= cfg.sprayBudget);
+    return id;
+  };
   // RNG state: words with a plausible share of set bits.
   const auto randomWords = [](Cursor& c, int n) {
     bool random = true;
@@ -907,51 +942,86 @@ GlrTables findGlrTables(const std::vector<char>& bytes,
     }
     return random;
   };
+  // Message buffer: capacity, the stored messages, the cached copies (a
+  // message, next hop and send time), then four counters. A message is
+  // 144 bytes (checkpoint/payload_codec.cpp).
+  const auto skipBuffer = [](Cursor& c) {
+    constexpr std::uint64_t kMessageBytes = 144;
+    (void)c.get<std::uint64_t>();
+    const auto stored = c.get<std::uint64_t>();
+    c.require(stored <= kMaxMessages);
+    c.skip(stored * kMessageBytes);
+    const auto cached = c.get<std::uint64_t>();
+    c.require(cached <= kMaxMessages);
+    c.skip(cached * (kMessageBytes + 12));
+    c.skip(4 * 8);
+  };
 
-  GlrTables found;
-  std::size_t neighborEnd = 0;
-  for (std::size_t at = begin; at + 8 <= end; ++at) {
-    // Neighbor table: after the agent's and the service's RNG words (four
-    // each, so random-looking), and before the service's hello counters.
-    // The tail of a table found already can pass for an empty one.
-    if (at >= begin + 64 && at >= neighborEnd) {
-      Cursor c{bytes, at - 64, end};
-      c.require(randomWords(c, 8));
-      KeyedTable t = readTable(c, nodes, neighborEntry);
-      const auto sent = c.get<std::uint64_t>();
-      (void)c.get<std::uint64_t>();
-      const auto failed = c.get<std::uint64_t>();
-      c.require(sent >= 1 && sent <= 100000 && failed <= sent);
-      if (c.ok) {
-        neighborEnd = t.end;
-        found.tables.push_back(std::move(t));
-        ++found.neighborTables;
+  AgentTables found;
+  for (std::size_t at = begin + 64; at + 8 <= end; ++at) {
+    Cursor c{bytes, at - 64, end};
+    c.require(randomWords(c, 8));
+    std::vector<KeyedTable> tables{readTable(c, nodes, neighborEntry)};
+    const auto sent = c.get<std::uint64_t>();
+    (void)c.get<std::uint64_t>();
+    const auto failed = c.get<std::uint64_t>();
+    c.require(sent >= 1 && sent <= 100000 && failed <= sent);
+    skipBuffer(c);
+    switch (cfg.protocol) {
+      case Protocol::kGlr:
+        // Location table, delivered set, suspicion table, then 17 counters,
+        // nextSeq, checkQueued, cwnd, ssthresh, srtt, rttvar, haveRtt.
+        tables.push_back(readTable(c, nodes, locationEntry));
+        tables.push_back(readTable(c, kMaxMessages, messageKey));
+        tables.push_back(readTable(c, nodes, suspicionEntry));
+        c.skip(17 * 8);
+        c.require(c.get<std::int32_t>() >= 0 && c.get<std::uint8_t>() <= 1);
+        c.require(ok.finite(c.get<double>(), 1e-9) &&
+                  ok.finite(c.get<double>(), 1e-9) &&
+                  ok.finite(c.get<double>(), 0.0) &&
+                  ok.finite(c.get<double>(), 0.0));
+        c.require(c.get<std::uint8_t>() <= 1);
+        break;
+      case Protocol::kEpidemic: {
+        // Delivered set, the additions log (u64 sequence, message id), its
+        // next sequence number, the offer watermarks, the offer times and
+        // the request times, then seven counters and nextSeq.
+        tables.push_back(readTable(c, kMaxMessages, messageKey));
+        const auto additions = c.get<std::uint64_t>();
+        c.require(additions <= kMaxMessages);
+        c.skip(additions * 16);
+        (void)c.get<std::uint64_t>();
+        tables.push_back(readTable(c, nodes, offerEntry));
+        tables.push_back(readTable(c, nodes, offerTimeEntry));
+        tables.push_back(readTable(c, kMaxMessages, requestEntry));
+        c.skip(7 * 8);
+        c.require(c.get<std::int32_t>() >= 0);
+        break;
       }
+      case Protocol::kSprayAndWait:
+        // Copy budgets, delivered set, three counters, nextSeq.
+        tables.push_back(readTable(c, kMaxMessages, budgetEntry));
+        tables.push_back(readTable(c, kMaxMessages, messageKey));
+        c.skip(3 * 8);
+        c.require(c.get<std::int32_t>() >= 0);
+        break;
+      case Protocol::kDirectDelivery:
+        // Delivered set, two counters, nextSeq.
+        tables.push_back(readTable(c, kMaxMessages, messageKey));
+        c.skip(2 * 8);
+        c.require(c.get<std::int32_t>() >= 0);
+        break;
     }
-    // Agent tail: location table, delivered set, suspicion table, then 17
-    // counters, nextSeq, checkQueued, cwnd, ssthresh, srtt, rttvar, haveRtt.
-    Cursor c{bytes, at, end};
-    KeyedTable location = readTable(c, nodes, locationEntry);
-    KeyedTable delivered = readTable(c, 1000000, messageIdEntry);
-    KeyedTable suspicion = readTable(c, nodes, suspicionEntry);
-    for (int i = 0; i < 17; ++i) (void)c.get<std::uint64_t>();
-    const std::int32_t nextSeq = c.get<std::int32_t>();
-    c.require(nextSeq >= 0 && c.get<std::uint8_t>() <= 1);
-    c.require(ok.finite(c.get<double>(), 1e-9) &&
-              ok.finite(c.get<double>(), 1e-9) &&
-              ok.finite(c.get<double>(), 0.0) &&
-              ok.finite(c.get<double>(), 0.0));
-    c.require(c.get<std::uint8_t>() <= 1);
     // Then the section ends, or the next node's MAC state begins: four RNG
     // words and the interface queue's length.
+    const std::size_t agentEnd = c.at;
     if (c.ok && c.at != end) {
       c.require(randomWords(c, 4) && c.get<std::uint64_t>() <= cfg.queueLimit);
     }
     if (c.ok) {
-      found.tables.push_back(std::move(location));
-      found.tables.push_back(std::move(delivered));
-      found.tables.push_back(std::move(suspicion));
-      ++found.agentTails;
+      found.neighbor.push_back(tables.front());
+      found.all.insert(found.all.end(), tables.begin(), tables.end());
+      at = agentEnd + 64 - 1;  // the next agent starts after this one
     }
   }
   return found;
@@ -990,33 +1060,50 @@ void mutateTable(std::vector<char>& bytes, const KeyedTable& t, int nodes,
   }
 }
 
+/// `cfg` shortened to one snapshot at t = 60 s and a 4 s tail.
+ScenarioConfig shortMutationRun(ScenarioConfig cfg, const std::string& name) {
+  cfg.checkpointEvery = 60.0;
+  cfg.simTime = 64.0;
+  cfg.checkpointPath = tmpPath(name);
+  return cfg;
+}
+
 TEST(CheckpointMutation, KeyedTableMutantsFailLoudOrRunToTheEnd) {
-  const ScenarioConfig cfg = mutationConfig();
-  const std::vector<char> valid = validSnapshot(cfg);
-  const GlrTables found = findGlrTables(valid, cfg);
-  ASSERT_EQ(found.neighborTables, cfg.numNodes);
-  ASSERT_EQ(found.agentTails, cfg.numNodes);
-  expectMutantsFailLoudOrRun(
-      cfg, valid, 2027, "ascending key order",
-      [&](std::vector<char>& bytes, glr::sim::Rng& rng) {
-        mutateTable(bytes, found.tables[rng.below(found.tables.size())],
-                    cfg.numNodes, rng);
-      });
+  // One snapshot per agent type; each gets its own GLR_CKPT_MUTANTS.
+  const std::uint64_t seeds[] = {2027, 2028, 2029, 2030};
+  const ScenarioConfig configs[] = {
+      mutationConfig(),
+      shortMutationRun(epidemicConfig(), "ckpt_mutation_epi.bin"),
+      shortMutationRun(sprayConfig(), "ckpt_mutation_spray.bin"),
+      shortMutationRun(directConfig(), "ckpt_mutation_direct.bin")};
+  for (std::size_t k = 0; k < std::size(configs); ++k) {
+    const ScenarioConfig& cfg = configs[k];
+    SCOPED_TRACE(glr::experiment::protocolName(cfg.protocol));
+    const std::vector<char> valid = validSnapshot(cfg);
+    const AgentTables found = findAgentTables(valid, cfg);
+    ASSERT_EQ(found.neighbor.size(), static_cast<std::size_t>(cfg.numNodes));
+    expectMutantsFailLoudOrRun(
+        cfg, valid, seeds[k], "ascending key order",
+        [&](std::vector<char>& bytes, glr::sim::Rng& rng) {
+          mutateTable(bytes, found.all[rng.below(found.all.size())],
+                      cfg.numNodes, rng);
+        });
+  }
 }
 
 /// A valid snapshot of mutationConfig() and its first neighbor table with
-/// at least two entries (neighbor tables come first in each node's block).
+/// at least two entries.
 std::pair<std::vector<char>, KeyedTable> snapshotWithNeighborPair(
     const ScenarioConfig& cfg) {
   std::vector<char> bytes = validSnapshot(cfg);
-  const GlrTables found = findGlrTables(bytes, cfg);
-  EXPECT_EQ(found.neighborTables, cfg.numNodes);
+  const AgentTables found = findAgentTables(bytes, cfg);
+  EXPECT_EQ(found.neighbor.size(), static_cast<std::size_t>(cfg.numNodes));
   const auto table = std::find_if(
-      found.tables.begin(), found.tables.end(),
+      found.neighbor.begin(), found.neighbor.end(),
       [](const KeyedTable& t) { return t.entries.size() >= 2; });
-  EXPECT_NE(table, found.tables.end());
-  return {std::move(bytes), table != found.tables.end() ? *table
-                                                        : KeyedTable{}};
+  EXPECT_NE(table, found.neighbor.end());
+  return {std::move(bytes), table != found.neighbor.end() ? *table
+                                                          : KeyedTable{}};
 }
 
 TEST(Checkpoint, SwappedNeighborKeysRefused) {
